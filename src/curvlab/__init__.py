@@ -39,13 +39,9 @@ from .geometry import (
     ManifoldSpec,
     PointGeometry,
     SampleBox,
-    christoffel,
     metric_positive_definite,
     metric_symmetry_residual,
-    ricci,
-    riemann,
     sample_points,
-    scalar_curvature,
 )
 from .hermitian import (
     CLASS_NAMES,
@@ -131,7 +127,6 @@ __all__ = [
     "adapted_frame",
     "build_builtin",
     "check_identity",
-    "christoffel",
     "classify",
     "constant",
     "cos",
@@ -156,11 +151,8 @@ __all__ = [
     "orthonormal_frame",
     "parse",
     "relative_residual",
-    "ricci",
-    "riemann",
     "sample_planes",
     "sample_points",
-    "scalar_curvature",
     "schur_check",
     "sectional_curvature",
     "seed",

@@ -32,6 +32,16 @@ from .errors import (
     SchemaError,
 )
 
+# largest max |g_ij − g_ji| accepted as a symmetric metric; above it the
+# metric fails validation, below it the chart works on the symmetric part
+METRIC_SYMMETRY_TOL = 1e-8
+
+# rows per chunk in :func:`contract` are chosen so that no intermediate
+# holds more than this many entries (32 KiB): a session keeps every sampled
+# point's tensors alive while it evaluates batches, so batch temporaries
+# add directly to its peak memory
+_CONTRACT_CHUNK = 1 << 12
+
 
 # ---------------------------------------------------------------------------
 # matrix-valued fields on a chart
@@ -201,15 +211,16 @@ class PointGeometry:
         ctx1 = jets.get_context(d, 1)
 
         G = spec.metric.evaluate(self.point, 3)
-        self.g_jets = G
-        self.g = G[..., 0].copy()
-
-        sym_res = float(np.abs(self.g - self.g.T).max())
-        if sym_res > 1e-9:
+        sym_res = float(np.abs(G[..., 0] - G[..., 0].T).max())
+        if not sym_res <= METRIC_SYMMETRY_TOL:
             raise DegenerateMetricError(
                 f"metric of {spec.name!r} is asymmetric at {self.point!r} "
                 f"(residual {sym_res:.3e})"
             )
+        if sym_res > 0.0:
+            G = 0.5 * (G + G.transpose(1, 0, 2))
+        self.g_jets = G
+        self.g = G[..., 0].copy()
         try:
             np.linalg.cholesky(self.g)
         except np.linalg.LinAlgError:
@@ -233,23 +244,29 @@ class PointGeometry:
 
         # Christoffel symbols Γᵏ_ij = ½ gᵏˡ (∂_i g_jl + ∂_j g_il − ∂_l g_ij)
         # dG[m,i,j] = ∂_m g_ij; lower[i,j,l] = ∂_i g_jl + ∂_j g_il − ∂_l g_ij
+        # (each stage's jet temporaries are released before the next one:
+        # they set the peak memory of a session holding every sampled point)
         dG = np.stack([jets.partial_coeffs(G, m, ctx3) for m in range(d)])
         lower = dG + dG.transpose(1, 0, 2, 3) - dG.transpose(1, 2, 0, 3)
+        del dG
         ginv2 = jets.truncate_coeffs(X, ctx3, 2)
-        self.gamma_jets = 0.5 * jets.jet_einsum("kl,ijl->kij", ginv2, lower, ctx2)
-        self.gamma = self.gamma_jets[..., 0].copy()
+        gamma_jets = 0.5 * jets.jet_einsum("kl,ijl->kij", ginv2, lower, ctx2)
+        self.gamma = gamma_jets[..., 0].copy()
+        del lower
 
         # curvature: R(∂_a,∂_b)∂_c = (∂_a Γᵉ_bc − ∂_b Γᵉ_ac + Γᵉ_af Γᶠ_bc − Γᵉ_bf Γᶠ_ac) ∂_e
         dGamma = np.stack(
-            [jets.partial_coeffs(self.gamma_jets, m, ctx2) for m in range(d)]
+            [jets.partial_coeffs(gamma_jets, m, ctx2) for m in range(d)]
         )
-        gamma1 = jets.truncate_coeffs(self.gamma_jets, ctx2, 1)
+        gamma1 = jets.truncate_coeffs(gamma_jets, ctx2, 1)
         P = dGamma.transpose(0, 2, 3, 1, 4)  # [a,b,c,e] = ∂_a Γᵉ_bc
         Q = jets.jet_einsum("eaf,fbc->abce", gamma1, gamma1, ctx1)
         upper = P - P.transpose(1, 0, 2, 3, 4) + Q - Q.transpose(1, 0, 2, 3, 4)
+        del gamma_jets, dGamma, P, Q
         g1 = jets.truncate_coeffs(G, ctx3, 1)
         self.riemann_jets = jets.jet_einsum("abce,ed->abcd", upper, g1, ctx1)
         self.riemann = self.riemann_jets[..., 0].copy()
+        del upper
 
         ginv1 = jets.truncate_coeffs(X, ctx3, 1)
         self.ricci_jets = jets.jet_einsum("apqb,pq->ab", self.riemann_jets, ginv1, ctx1)
@@ -299,22 +316,33 @@ class PointGeometry:
         return float(np.einsum("mab,m,a,b->", self.nabla_ricci, w, x, y))
 
 
-def christoffel(spec: ManifoldSpec, point: Sequence[float]) -> np.ndarray:
-    """Γᵏ_ij values at ``point`` (see :class:`PointGeometry` for the chain)."""
-    return PointGeometry(spec, point).gamma
+def contract(tensor: np.ndarray, *vectors: np.ndarray) -> np.ndarray:
+    """T(v₁, …, v_k) for every row of the ``(count, d)`` arrays ``vectors``.
 
+    Slots are contracted two at a time, first to last, against the outer
+    product of their vectors, a chunk of rows at a time, so that no
+    intermediate holds more than ``_CONTRACT_CHUNK`` entries.
+    """
+    d = tensor.shape[0]
+    pairs = [vectors[i:i + 2] for i in range(0, len(vectors), 2)]
 
-def riemann(spec: ManifoldSpec, point: Sequence[float]) -> np.ndarray:
-    """Fully-lowered curvature values R_abcd at ``point``."""
-    return PointGeometry(spec, point).riemann
+    def outer(pair, rows):
+        if len(pair) == 1:
+            return pair[0][rows]
+        return (pair[0][rows, :, None] * pair[1][rows, None, :]).reshape(-1, d * d)
 
-
-def ricci(spec: ManifoldSpec, point: Sequence[float]) -> np.ndarray:
-    return PointGeometry(spec, point).ricci
-
-
-def scalar_curvature(spec: ManifoldSpec, point: Sequence[float]) -> float:
-    return PointGeometry(spec, point).scalar_curvature
+    first = tensor.reshape(d ** len(pairs[0]), -1)
+    count = vectors[0].shape[0]
+    step = max(1, _CONTRACT_CHUNK // first.shape[1])
+    out = np.empty(count)
+    for lo in range(0, count, step):
+        rows = slice(lo, lo + step)
+        t = outer(pairs[0], rows) @ first
+        for pair in pairs[1:]:
+            w = outer(pair, rows)
+            t = np.vecmat(w, t.reshape(t.shape[0], w.shape[1], -1))
+        out[rows] = t[:, 0]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -334,20 +362,3 @@ def metric_positive_definite(spec: ManifoldSpec, point: Sequence[float]) -> bool
         return True
     except np.linalg.LinAlgError:
         return False
-
-
-def j_squared_residual(spec: ManifoldSpec, point: Sequence[float]) -> float:
-    """max |(J² + Id)_ij| at the point; 0 for a true almost-complex structure."""
-    if spec.complex_structure is None:
-        raise SchemaError(f"manifold {spec.name!r} carries no complex structure")
-    J = spec.complex_structure.evaluate(point, 0)[..., 0]
-    return float(np.abs(J @ J + np.eye(spec.dim)).max())
-
-
-def compatibility_residual(spec: ManifoldSpec, point: Sequence[float]) -> float:
-    """max |(JᵀgJ − g)_ij|: failure of g(Jx,Jy) = g(x,y)."""
-    if spec.complex_structure is None:
-        raise SchemaError(f"manifold {spec.name!r} carries no complex structure")
-    g = spec.metric.evaluate(point, 0)[..., 0]
-    J = spec.complex_structure.evaluate(point, 0)[..., 0]
-    return float(np.abs(J.T @ g @ J - g).max())

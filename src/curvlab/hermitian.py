@@ -27,16 +27,23 @@ import numpy as np
 
 from . import jets, planes
 from .errors import MissingComplexStructureError
-from .geometry import ManifoldSpec, PointGeometry
+from .geometry import ManifoldSpec, PointGeometry, contract
 
 # a class residual is labelled fail only when it exceeds tolerance by this
 # factor; the band in between is reported as indeterminate
 INDETERMINATE_BAND = 1e3
 
 
-def relative_residual(lhs: float, rhs: float) -> float:
-    """|lhs − rhs| / (1 + |lhs| + |rhs|): the package-wide residual metric."""
-    return abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
+def relative_residual(lhs, rhs):
+    """|lhs − rhs| / (1 + |lhs| + |rhs|): the package-wide residual metric,
+    elementwise on arrays."""
+    return np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+
+
+def worst_residual(residuals) -> float:
+    """The largest residual, or NaN when any is NaN: a non-finite residual
+    must fail its check, never vanish from the maximum."""
+    return float(np.max(residuals))
 
 
 class HermitianData:
@@ -105,12 +112,12 @@ class HermitianData:
         self.delta_F = np.einsum("pj,pkj->k", pg.g_inv, self.nabla_J)
 
     def nabla_J_apply(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(∇_x J) y in chart components."""
-        return np.einsum("mkj,m,j->k", self.nabla_J, x, y)
+        """(∇_x J) y in chart components; rowwise on ``(count, d)`` arrays."""
+        return np.einsum("mkj,...m,...j->...k", self.nabla_J, x, y)
 
     def nk_defect(self, y: np.ndarray) -> np.ndarray:
         """B y = (∇_y J) y + (∇_{Jy} J) Jy; vanishes on quasi-Kähler points."""
-        jy = self.J @ y
+        jy = y @ self.J.T
         return self.nabla_J_apply(y, y) + self.nabla_J_apply(jy, jy)
 
     def nabla_ricci_star_at(self, w, x, y) -> float:
@@ -123,44 +130,65 @@ def hermitian_data(spec: ManifoldSpec, point) -> HermitianData:
 
 
 # ---------------------------------------------------------------------------
-# algebraic curvature forms
+# algebraic curvature forms and the curvature-class identities
+#
+# Arguments are chart-component vectors, or ``(count, d)`` arrays of them
+# evaluated row by row.
 
 
-def metric_curvature_form(g: np.ndarray, x, y, z, u) -> float:
+def _form(A: np.ndarray, x, y):
+    return np.einsum("...a,ab,...b->...", x, A, y)
+
+
+def metric_curvature_form(g: np.ndarray, x, y, z, u):
     """g(y,z)g(x,u) − g(x,z)g(y,u): the curvature tensor of a unit-curvature
     space evaluated on (x,y,z,u)."""
-    return float((y @ g @ z) * (x @ g @ u) - (x @ g @ z) * (y @ g @ u))
+    return _form(g, y, z) * _form(g, x, u) - _form(g, x, z) * _form(g, y, u)
 
 
-def kaehler_curvature_form(g: np.ndarray, J: np.ndarray, x, y, z, u) -> float:
+def kaehler_curvature_form(g: np.ndarray, J: np.ndarray, x, y, z, u):
     """g(Jy,z)g(Jx,u) − g(Jx,z)g(Jy,u) − 2g(Jx,y)g(Jz,u): the J-built
     companion form; together with the metric form it spans the curvature
     of constant-holomorphic-curvature Kähler models."""
-    jx, jy, jz = J @ x, J @ y, J @ z
-    return float(
-        (jy @ g @ z) * (jx @ g @ u)
-        - (jx @ g @ z) * (jy @ g @ u)
-        - 2.0 * (jx @ g @ y) * (jz @ g @ u)
+    jx, jy, jz = x @ J.T, y @ J.T, z @ J.T
+    return (
+        _form(g, jy, z) * _form(g, jx, u)
+        - _form(g, jx, z) * _form(g, jy, u)
+        - 2.0 * _form(g, jx, y) * _form(g, jz, u)
     )
 
 
-def ricci_curvature_form(
-    g: np.ndarray, J: np.ndarray, S: np.ndarray, x, y, z, u
-) -> float:
+def ricci_curvature_form(g: np.ndarray, J: np.ndarray, S: np.ndarray, x, y, z, u):
     """The Ricci-weighted companion form (bilinear in S and g∘J):
 
         g(Jy,z)S(Jx,u) − g(Jx,z)S(Jy,u) − 2g(Jx,y)S(Jz,u)
       + g(Jx,u)S(Jy,z) − g(Jy,u)S(Jx,z) − 2g(Jz,u)S(Jx,y)
     """
-    jx, jy, jz = J @ x, J @ y, J @ z
-    return float(
-        (jy @ g @ z) * (jx @ S @ u)
-        - (jx @ g @ z) * (jy @ S @ u)
-        - 2.0 * (jx @ g @ y) * (jz @ S @ u)
-        + (jx @ g @ u) * (jy @ S @ z)
-        - (jy @ g @ u) * (jx @ S @ z)
-        - 2.0 * (jz @ g @ u) * (jx @ S @ y)
+    jx, jy, jz = x @ J.T, y @ J.T, z @ J.T
+    return (
+        _form(g, jy, z) * _form(S, jx, u)
+        - _form(g, jx, z) * _form(S, jy, u)
+        - 2.0 * _form(g, jx, y) * _form(S, jz, u)
+        + _form(g, jx, u) * _form(S, jy, z)
+        - _form(g, jy, u) * _form(S, jx, z)
+        - 2.0 * _form(g, jz, u) * _form(S, jx, y)
     )
+
+
+def three_term_sides(data: HermitianData, args: np.ndarray):
+    """Both sides of R(x,y,z,u) = R(x,y,Jz,Ju) + R(x,Jy,z,Ju) + R(Jx,y,z,Ju)
+    for each ``(x, y, z, u)`` in a ``(count, 4, d)`` argument array."""
+    R, vectors = data.pg.riemann, args.transpose(1, 0, 2)
+    x, y, z, u = vectors
+    jx, jy, jz, ju = vectors @ data.J.T
+    rhs = contract(R, x, y, jz, ju) + contract(R, x, jy, z, ju) + contract(R, jx, y, z, ju)
+    return contract(R, x, y, z, u), rhs
+
+
+def j_invariance_sides(data: HermitianData, args: np.ndarray):
+    """Both sides of R(x,y,z,u) = R(Jx,Jy,Jz,Ju), as :func:`three_term_sides`."""
+    R, vectors = data.pg.riemann, args.transpose(1, 0, 2)
+    return contract(R, *vectors), contract(R, *vectors @ data.J.T)
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +233,9 @@ class ClassificationReport:
         return [(name, getattr(self, name)) for name in CLASS_NAMES]
 
 
-def _vec_residual(v: np.ndarray, g: np.ndarray) -> float:
-    nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
+def _vec_residual(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    nrm = np.sqrt(np.maximum(_form(g, v, v), 0.0))
     return nrm / (1.0 + nrm)
-
-
-def three_term_residual(pg: PointGeometry, J: np.ndarray, x, y, z, u) -> float:
-    """Residual of R(x,y,z,u) = R(x,y,Jz,Ju) + R(x,Jy,z,Ju) + R(Jx,y,z,Ju)."""
-    lhs = pg.curvature(x, y, z, u)
-    rhs = (
-        pg.curvature(x, y, J @ z, J @ u)
-        + pg.curvature(x, J @ y, z, J @ u)
-        + pg.curvature(J @ x, y, z, J @ u)
-    )
-    return relative_residual(lhs, rhs)
-
-
-def j_invariance_residual(pg: PointGeometry, J: np.ndarray, x, y, z, u) -> float:
-    """Residual of R(x,y,z,u) = R(Jx,Jy,Jz,Ju)."""
-    lhs = pg.curvature(x, y, z, u)
-    rhs = pg.curvature(J @ x, J @ y, J @ z, J @ u)
-    return relative_residual(lhs, rhs)
 
 
 def classify_point(
@@ -234,26 +244,21 @@ def classify_point(
     rng: np.random.Generator,
     tol: float,
 ) -> ClassificationReport:
-    """Max class residuals over ``samples`` random unit-vector draws."""
-    pg = data.pg
-    g, J = pg.g, data.J
-    res_k = res_nk = res_qk = res_eq1 = res_eq2 = 0.0
-    for _ in range(samples):
-        x = planes.random_unit_vector(g, rng)
-        y = planes.random_unit_vector(g, rng)
-        z = planes.random_unit_vector(g, rng)
-        u = planes.random_unit_vector(g, rng)
-        res_k = max(res_k, _vec_residual(data.nabla_J_apply(x, y), g))
-        res_nk = max(res_nk, _vec_residual(data.nabla_J_apply(x, x), g))
-        qk_vec = data.nabla_J_apply(J @ x, y) + J @ data.nabla_J_apply(x, y)
-        res_qk = max(res_qk, _vec_residual(qk_vec, g))
-        res_eq1 = max(res_eq1, three_term_residual(pg, J, x, y, z, u))
-        res_eq2 = max(res_eq2, j_invariance_residual(pg, J, x, y, z, u))
+    """Max class residuals over ``samples`` draws of four random unit vectors."""
+    g, J = data.pg.g, data.J
+    args = planes.random_unit_vector(g, rng, 4 * samples).reshape(samples, 4, -1)
+    x, y = args[:, 0], args[:, 1]
+    nabla_x_y = data.nabla_J_apply(x, y)
+    res_k = worst_residual(_vec_residual(nabla_x_y, g))
+    res_nk = worst_residual(_vec_residual(data.nabla_J_apply(x, x), g))
+    res_qk = worst_residual(_vec_residual(data.nabla_J_apply(x @ J.T, y) + nabla_x_y @ J.T, g))
+    res_eq1 = worst_residual(relative_residual(*three_term_sides(data, args)))
+    res_eq2 = worst_residual(relative_residual(*j_invariance_sides(data, args)))
     return ClassificationReport(
         kaehler=ClassResult(res_k, tol),
         nearly_kaehler=ClassResult(res_nk, tol),
         quasi_kaehler=ClassResult(res_qk, tol),
-        qk2=ClassResult(max(res_qk, res_eq1), tol),
+        qk2=ClassResult(worst_residual([res_qk, res_eq1]), tol),
         ah3=ClassResult(res_eq2, tol),
     )
 
@@ -273,7 +278,7 @@ def classify(
 def merge_classifications(reports: list[ClassificationReport], tol: float) -> ClassificationReport:
     """Aggregate per-point reports by max residual."""
     merged = {
-        name: ClassResult(max(r[name].residual for r in reports), tol)
+        name: ClassResult(worst_residual([r[name].residual for r in reports]), tol)
         for name in CLASS_NAMES
     }
     return ClassificationReport(**merged)

@@ -48,13 +48,69 @@ def orthonormal_frame(g: np.ndarray, rng: np.random.Generator | None = None) -> 
     return gram_schmidt(start, g)
 
 
-def random_unit_vector(g: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _unit_rows(g: np.ndarray, v: np.ndarray, redraw) -> np.ndarray:
+    """Rows of ``v`` scaled to g-unit length.  Rows too short to scale are
+    replaced by ``redraw(mask)`` for the rows in ``mask``, up to 16 times."""
     for _ in range(16):
-        v = rng.normal(size=g.shape[0])
-        nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-        if nrm > 1e-8:
-            return v / nrm
-    raise FrameConstructionError("could not draw a unit vector")  # pragma: no cover
+        nrm = np.sqrt(np.maximum(np.vecdot(np.vecmat(v, g), v), 0.0))
+        short = nrm <= 1e-8
+        if not short.any():
+            v /= nrm[:, None]
+            return v
+        v[short] = redraw(short)
+    raise FrameConstructionError("random draw degenerated")  # pragma: no cover
+
+
+def random_unit_vector(
+    g: np.ndarray, rng: np.random.Generator, count: int | None = None
+) -> np.ndarray:
+    """A g-unit vector of Gaussian direction, or ``count`` of them as the
+    rows of a ``(count, d)`` array."""
+    d = g.shape[0]
+    v = rng.normal(size=(1 if count is None else count, d))
+    v = _unit_rows(g, v, lambda short: rng.normal(size=(short.sum(), d)))
+    return v[0] if count is None else v
+
+
+def antiholomorphic_pairs(
+    g: np.ndarray,
+    J: np.ndarray,
+    rng: np.random.Generator,
+    count: int,
+    x: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` g-orthonormal pairs (x, y) with g(Jx, y) = 0, each spanning
+    an antiholomorphic plane, as two ``(count, d)`` arrays.  Each y is a
+    Gaussian draw projected off span{x, Jx}; x is drawn alongside it unless
+    given as g-unit rows.  Needs dim >= 4."""
+    d = g.shape[0]
+    if d < 4:
+        raise DimensionError(
+            f"antiholomorphic planes need dim >= 4 (got {d}): the complement "
+            "of span{x, Jx} must contain a unit vector"
+        )
+    if x is None:
+        raw = rng.normal(size=(count, 2, d))  # x then y, plane by plane
+        x = _unit_rows(g, raw[:, 0], lambda short: rng.normal(size=(short.sum(), d)))
+        v = raw[:, 1]
+    else:
+        v = rng.normal(size=(count, d))
+    jx = np.matvec(J, x)
+
+    def project(v, rows):
+        xr, jr = x[rows], jx[rows]
+        gjx = np.vecmat(jr, g)
+        return (
+            v
+            - np.vecdot(np.vecmat(xr, g), v)[:, None] * xr
+            - (np.vecdot(gjx, v) / np.vecdot(gjx, jr))[:, None] * jr
+        )
+
+    y = _unit_rows(
+        g, project(v, slice(None)),
+        lambda short: project(rng.normal(size=(short.sum(), d)), short),
+    )
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -144,38 +200,18 @@ def sample_planes(
     g-orthogonal complement of span{x, Jx} (needs dim >= 4).  kind
     'random': unconstrained orthonormal pair.
     """
-    d = g.shape[0]
-    planes: list[Plane] = []
     if kind in ("holomorphic", "antiholomorphic") and J is None:
         raise DimensionError(f"{kind} planes need an almost-complex structure")
-    if kind == "antiholomorphic" and d < 4:
-        raise DimensionError(
-            f"antiholomorphic planes need dim >= 4 (got {d}): the complement "
-            "of span{x, Jx} must contain a unit vector"
-        )
-    for _ in range(count):
-        if kind == "holomorphic":
-            x = random_unit_vector(g, rng)
-            y = J @ x
-            planes.append(_plane(g, J, x, y))
-        elif kind == "antiholomorphic":
-            for attempt in range(16):
-                x = random_unit_vector(g, rng)
-                jx = J @ x
-                v = rng.normal(size=d)
-                v = v - (x @ g @ v) * x - ((jx @ g @ v) / (jx @ g @ jx)) * jx
-                nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-                if nrm > 1e-8:
-                    break
-            else:
-                raise FrameConstructionError("antiholomorphic draw degenerated")
-            planes.append(_plane(g, J, x, v / nrm))
-        elif kind == "random":
-            pair = gram_schmidt(rng.normal(size=(2, d)), g)
-            planes.append(_plane(g, J, pair[0], pair[1]))
-        else:
-            raise ValueError(f"unknown plane kind {kind!r}")
-    return planes
+    if kind == "holomorphic":
+        xs = random_unit_vector(g, rng, count)
+        pairs = zip(xs, xs @ J.T)
+    elif kind == "antiholomorphic":
+        pairs = zip(*antiholomorphic_pairs(g, J, rng, count))
+    elif kind == "random":
+        pairs = (gram_schmidt(rng.normal(size=(2, g.shape[0])), g) for _ in range(count))
+    else:
+        raise ValueError(f"unknown plane kind {kind!r}")
+    return [_plane(g, J, x, y) for x, y in pairs]
 
 
 def sectional_curvature(riemann: np.ndarray, g: np.ndarray, plane: Plane) -> float:
@@ -195,7 +231,14 @@ def sectional_curvature(riemann: np.ndarray, g: np.ndarray, plane: Plane) -> flo
             f"plane is not g-orthonormal (residual {res:.3e}); "
             "build planes through sample_planes or gram_schmidt"
         )
-    return float(np.einsum("abcd,a,b,c,d->", riemann, x, y, y, x))
+    return float(_sectional(riemann, x, y))
+
+
+def _sectional(riemann: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """R(x,y,y,x), rowwise on ``(count, d)`` arrays.  einsum sums each row
+    in the same order as a single pair, so a plane's value does not depend
+    on the batch it is evaluated in."""
+    return np.einsum("abcd,...a,...b,...c,...d->...", riemann, x, y, y, x)
 
 
 @dataclass(frozen=True)
@@ -219,10 +262,7 @@ def estimate_nu(
     rng: np.random.Generator,
 ) -> NuEstimate:
     """Antiholomorphic sectional curvature over a random plane batch."""
-    ks = [
-        sectional_curvature(riemann, g, pl)
-        for pl in sample_planes(g, J, "antiholomorphic", count, rng)
-    ]
+    ks = _sectional(riemann, *antiholomorphic_pairs(g, J, rng, count))
     return NuEstimate(float(np.mean(ks)), float(np.min(ks)), float(np.max(ks)))
 
 

@@ -24,23 +24,28 @@ The checks, by tag:
     LEMMA  (n+1)τ − 3τ* agrees across sampled points
     SCHUR  ν, τ, τ* agree across sampled points
 
-Each identity carries its hypothesis class; on manifolds outside the
-class the tag is reported as skipped with the reason, never as failed.
+Each tag is one row of :data:`IDENTITIES`, which holds its hypotheses
+(required class, pointwise constant ν, minimum n), its hypothesis note, how
+many argument vectors one sample takes, and a function that evaluates both
+sides for a whole batch of samples.  On manifolds outside a row's
+hypotheses the tag is reported as skipped with the first unmet one, never
+as failed.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import hermitian, planes
-from .errors import CurvlabError, FrameConstructionError, HypothesisNotMetError
+from .errors import HypothesisNotMetError
 from .geometry import (
+    METRIC_SYMMETRY_TOL,
     ManifoldSpec,
     PointGeometry,
+    contract,
     metric_symmetry_residual,
     metric_positive_definite,
     sample_points,
@@ -54,14 +59,10 @@ from .hermitian import (
     metric_curvature_form,
     relative_residual,
     ricci_curvature_form,
+    worst_residual,
 )
 from .jets import Jet
 from .planes import AdaptedFrame, NuEstimate, adapted_frame, nu_from_formula
-
-IDENTITY_TAGS = (
-    "EQ1", "EQ2", "PROP3", "PROP4", "PROP5", "EQ6", "EQ7", "EQ8", "EQ9",
-    "EQ10", "EQ11", "EQ12", "EQ13", "LEMMA", "SCHUR",
-)
 
 # structural residual beyond which J is not accepted as an almost-complex
 # structure compatible with g (true structures sit at rounding level)
@@ -134,7 +135,7 @@ class SchurStatistics:
 
     @staticmethod
     def _spread(values: list[float]) -> float:
-        return (max(values) - min(values)) if values else 0.0
+        return float(np.ptp(values)) if values else 0.0
 
     @property
     def spreads(self) -> dict:
@@ -202,11 +203,11 @@ def _point_data(spec: ManifoldSpec, point: np.ndarray, idx: int, config: CheckCo
     nu_jet = None
     if spec.complex_structure is not None:
         hd = HermitianData(pg)
-        structural = max(
+        structural = worst_residual([
             hd.j_squared_residual,
             hd.compatibility_residual,
             hd.j_low_antisymmetry_residual,
-        )
+        ])
         if structural <= VALIDATION_TOL:
             frame = adapted_frame(pg.g, hd.J, _rng(config.seed, _PURPOSE_FRAME, idx))
             if spec.dim >= 4:
@@ -225,253 +226,218 @@ def _point_data(spec: ManifoldSpec, point: np.ndarray, idx: int, config: CheckCo
     return PointData(pg, hd, frame, frame_rows, nu_est, nu_jet)
 
 
-class _Pool:
-    """Argument source mixing adapted-frame rows with random unit vectors."""
-
-    def __init__(self, pd: PointData, rng: np.random.Generator):
-        self.pd = pd
-        self.rng = rng
-
-    def unit(self) -> np.ndarray:
-        rows = self.pd.frame_rows
-        if self.rng.random() < 0.5:
-            return rows[self.rng.integers(0, rows.shape[0])]
-        return planes.random_unit_vector(self.pd.pg.g, self.rng)
-
-    def admissible_pair(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unit orthogonal (x, y) with x ⊥ Jy, for the directional checks."""
-        g, J = self.pd.pg.g, self.pd.hd.J
-        for _ in range(16):
-            y = self.unit()
-            jy = J @ y
-            v = planes.random_unit_vector(g, self.rng)
-            v = v - (y @ g @ v) * y - ((jy @ g @ v) / (jy @ g @ jy)) * jy
-            nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-            if nrm > 1e-8:
-                return v / nrm, y
-        raise FrameConstructionError("admissible pair draw degenerated")
-
-
 # ---------------------------------------------------------------------------
-# identity evaluators: (PointData, pool, count, n) -> list of residuals
+# the identity table
 
 
-def _eval_eq1(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    J = pd.hd.J
-    return [
-        hermitian.three_term_residual(
-            pd.pg, J, pool.unit(), pool.unit(), pool.unit(), pool.unit()
-        )
-        for _ in range(count)
-    ]
+def _draw(pd: PointData, row: Identity, count: int, rng: np.random.Generator) -> np.ndarray:
+    """``(count, row.args, d)`` arguments.  Each vector is an adapted-frame
+    row or a random unit vector, with equal odds; for an antiholomorphic
+    row the first vector is instead drawn g-orthogonal to the second and
+    to its J-image."""
+    g, frame = pd.pg.g, pd.frame_rows
+    k = row.args - row.antiholomorphic
+    picks = rng.integers(0, frame.shape[0], size=(count, k))
+    args = planes.random_unit_vector(g, rng, count * k).reshape(count, k, -1)
+    take = rng.random((count, k)) < 0.5
+    args[take] = frame[picks[take]]
+    if row.antiholomorphic:
+        y, x = planes.antiholomorphic_pairs(g, pd.hd.J, rng, count, args[:, 0])
+        args = np.stack([x, y], axis=1)
+    return args
 
 
-def _eval_eq2(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    J = pd.hd.J
-    return [
-        hermitian.j_invariance_residual(
-            pd.pg, J, pool.unit(), pool.unit(), pool.unit(), pool.unit()
-        )
-        for _ in range(count)
-    ]
-
-
-def _eval_prop3(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg, hd = pd.pg, pd.hd
-    g, J, S = pg.g, hd.J, pg.ricci
-    n = pg.spec.n
-    nu = pd.nu_jet.value
-    out = []
-    for _ in range(count):
-        x, y, z, u = (pool.unit() for _ in range(4))
-        lhs = pg.curvature(x, y, z, u)
-        rhs = (
-            ricci_curvature_form(g, J, S, x, y, z, u) / 6.0
-            + nu * metric_curvature_form(g, x, y, z, u)
-            - ((2 * n - 1) / 3.0) * nu * kaehler_curvature_form(g, J, x, y, z, u)
-        )
-        out.append(relative_residual(lhs, rhs))
-    return out
-
-
-def _eval_prop4(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg, hd = pd.pg, pd.hd
-    n = pg.spec.n
-    coeff = ((n + 1) * pg.scalar_curvature - 3.0 * hd.star_scalar) / (2.0 * n)
-    out = []
-    for _ in range(count):
-        x, y = pool.unit(), pool.unit()
-        lhs = (n + 1) * float(x @ pg.ricci @ y) - 3.0 * float(x @ hd.ricci_star @ y)
-        rhs = coeff * pg.inner(x, y)
-        out.append(relative_residual(lhs, rhs))
-    return out
-
-
-def _eval_prop5(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg, hd = pd.pg, pd.hd
-    nu = pd.nu_jet.value
-    batch = planes.sample_planes(pg.g, hd.J, "antiholomorphic", count, pool.rng)
-    return [
-        relative_residual(planes.sectional_curvature(pg.riemann, pg.g, pl), nu)
-        for pl in batch
-    ]
-
-
-def _eval_eq6(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg = pd.pg
-    out = []
-    for _ in range(count):
-        w, x, y, z, u = (pool.unit() for _ in range(5))
-        lhs = (
-            pg.nabla_curvature(w, x, y, z, u)
-            + pg.nabla_curvature(x, y, w, z, u)
-            + pg.nabla_curvature(y, w, x, z, u)
-        )
-        out.append(relative_residual(lhs, 0.0))
-    return out
-
-
-def _eval_eq7(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg = pd.pg
-    out = []
-    for _ in range(count):
-        x, y, z = pool.unit(), pool.unit(), pool.unit()
-        lhs = pg.nabla_ricci_at(x, y, z) - pg.nabla_ricci_at(y, x, z)
-        rhs = float(
-            np.einsum("mabcd,a,b,c,md->", pg.nabla_riemann, x, y, z, pg.g_inv)
-        )
-        out.append(relative_residual(lhs, rhs))
-    return out
-
-
-def _eval_eq8(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg = pd.pg
-    out = []
-    for _ in range(count):
-        x = pool.unit()
-        lhs = float(np.einsum("mab,mb,a->", pg.nabla_ricci, pg.g_inv, x))
-        rhs = 0.5 * pg.scalar_curvature_jet.directional(x)
-        out.append(relative_residual(lhs, rhs))
-    return out
-
-
-def _eval_eq9(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg, hd = pd.pg, pd.hd
-    out = []
-    for _ in range(count):
-        x = pool.unit()
-        lhs = float(np.einsum("mab,mb,a->", hd.nabla_ricci_star, pg.g_inv, x))
-        rhs = 0.5 * hd.star_scalar_jet.directional(x)
-        out.append(relative_residual(lhs, rhs))
-    return out
-
-
-def _directional_combination(pd: PointData, x: np.ndarray, y: np.ndarray) -> float:
-    """(∇_x S)(y,y) + (∇_x S)(Jy,Jy) − (∇_y S)(x,y) − (∇_{Jy} S)(x,Jy)."""
-    pg, hd = pd.pg, pd.hd
-    jy = hd.J @ y
-    return (
-        pg.nabla_ricci_at(x, y, y)
-        + pg.nabla_ricci_at(x, jy, jy)
-        - pg.nabla_ricci_at(y, x, y)
-        - pg.nabla_ricci_at(jy, x, jy)
+def _prop3(pd: PointData, args: np.ndarray):
+    pg, J, n, nu = pd.pg, pd.hd.J, pd.pg.spec.n, pd.nu_jet.value
+    x, y, z, u = args.transpose(1, 0, 2)
+    rhs = (
+        ricci_curvature_form(pg.g, J, pg.ricci, x, y, z, u) / 6.0
+        + nu * metric_curvature_form(pg.g, x, y, z, u)
+        - ((2 * n - 1) / 3.0) * nu * kaehler_curvature_form(pg.g, J, x, y, z, u)
     )
+    return contract(pg.riemann, x, y, z, u), rhs
 
 
-def _eval_eq10(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg, hd = pd.pg, pd.hd
-    n = pg.spec.n
-    nu = pd.nu_jet.value
-    S = pg.ricci
-    out = []
-    for _ in range(count):
-        x, y = pool.admissible_pair()
-        jby = hd.J @ hd.nk_defect(y)
-        g_jby_x = pg.inner(jby, x)
-        lhs = 4.0 * (n - 1) * pd.nu_jet.directional(x)
-        rhs = (
-            _directional_combination(pd, x, y)
-            - float(jby @ S @ x)
-            - g_jby_x * float(y @ S @ y)
-            + 2.0 * (2 * n - 1) * nu * g_jby_x
+def _prop4(pd: PointData, args: np.ndarray):
+    pg, hd, n = pd.pg, pd.hd, pd.pg.spec.n
+    x, y = args.transpose(1, 0, 2)
+    lhs = (n + 1) * contract(pg.ricci, x, y) - 3.0 * contract(hd.ricci_star, x, y)
+    return lhs, pd.lemma_value / (2.0 * n) * contract(pg.g, x, y)
+
+
+def _prop5(pd: PointData, args: np.ndarray):
+    x, y = args.transpose(1, 0, 2)
+    return contract(pd.pg.riemann, x, y, y, x), pd.nu_jet.value
+
+
+def _eq6(pd: PointData, args: np.ndarray):
+    nR = pd.pg.nabla_riemann
+    w, x, y, z, u = args.transpose(1, 0, 2)
+    lhs = contract(nR, w, x, y, z, u) + contract(nR, x, y, w, z, u) + contract(nR, y, w, x, z, u)
+    return lhs, 0.0
+
+
+def _eq7(pd: PointData, args: np.ndarray):
+    pg = pd.pg
+    x, y, z = args.transpose(1, 0, 2)
+    trace = np.einsum("mabcd,md->abc", pg.nabla_riemann, pg.g_inv)
+    lhs = contract(pg.nabla_ricci, x, y, z) - contract(pg.nabla_ricci, y, x, z)
+    return lhs, contract(trace, x, y, z)
+
+
+def _divergence_sides(nabla_T: np.ndarray, trace: Jet, pd: PointData, args: np.ndarray):
+    """(div T)(x) and x(tr T)/2 for a symmetric 2-tensor T."""
+    x = args[:, 0]
+    div = np.einsum("mab,mb->a", nabla_T, pd.pg.g_inv)
+    return x @ div, 0.5 * (x @ trace.gradient)
+
+
+def _eq8(pd: PointData, args: np.ndarray):
+    return _divergence_sides(pd.pg.nabla_ricci, pd.pg.scalar_curvature_jet, pd, args)
+
+
+def _eq9(pd: PointData, args: np.ndarray):
+    return _divergence_sides(pd.hd.nabla_ricci_star, pd.hd.star_scalar_jet, pd, args)
+
+
+def _x_nu_sides(pd: PointData, x: np.ndarray, y: np.ndarray):
+    """4(n−1)x(ν) and D(x,y) = (∇_x S)(y,y) + (∇_x S)(Jy,Jy) − (∇_y S)(x,y)
+    − (∇_{Jy} S)(x,Jy), the two sides of EQ12."""
+    nS = pd.pg.nabla_ricci
+    jy = y @ pd.hd.J.T
+    combination = (
+        contract(nS, x, y, y) + contract(nS, x, jy, jy)
+        - contract(nS, y, x, y) - contract(nS, jy, x, jy)
+    )
+    return 4.0 * (pd.pg.spec.n - 1) * (x @ pd.nu_jet.gradient), combination
+
+
+def _eq10(pd: PointData, args: np.ndarray):
+    pg, hd, n, nu = pd.pg, pd.hd, pd.pg.spec.n, pd.nu_jet.value
+    x, y = args.transpose(1, 0, 2)
+    jby = hd.nk_defect(y) @ hd.J.T
+    g_jby_x = contract(pg.g, jby, x)
+    lhs, combination = _x_nu_sides(pd, x, y)
+    rhs = (
+        combination
+        - contract(pg.ricci, jby, x)
+        - g_jby_x * contract(pg.ricci, y, y)
+        + 2.0 * (2 * n - 1) * nu * g_jby_x
+    )
+    return lhs, rhs
+
+
+def _eq11(pd: PointData, args: np.ndarray):
+    pg, hd, n, nu = pd.pg, pd.hd, pd.pg.spec.n, pd.nu_jet.value
+    S, nS = pg.ricci, pg.nabla_ricci
+    x = args[:, 0]
+    jx = x @ hd.J.T
+    # Σ_i S((∇_{e_i} J) Jx, e_i), frame-free
+    frame_trace = jx @ np.einsum("ab,maj,mb->j", S, hd.nabla_J, pg.g_inv)
+    g_df_jx = jx @ (pg.g @ hd.delta_F)
+    lhs = contract(nS, x, jx, jx) - contract(nS, jx, x, jx)
+    x_nu = x @ pd.nu_jet.gradient
+    rhs = (
+        0.5
+        * (
+            0.5 * (x @ pg.scalar_curvature_jet.gradient)
+            - frame_trace
+            + g_df_jx * contract(S, x, x)
+            + contract(nS, x, jx, jx)
+            + contract(S, hd.nabla_J_apply(x, x), jx)
         )
-        out.append(relative_residual(lhs, rhs))
-    return out
+        - 2.0 * (n - 1) * x_nu
+        - (2 * n - 1) * nu * g_df_jx
+    )
+    return lhs, rhs
 
 
-def _eval_eq11(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg, hd = pd.pg, pd.hd
-    n = pg.spec.n
-    nu = pd.nu_jet.value
-    S = pg.ricci
-    out = []
-    for _ in range(count):
-        x = pool.unit()
-        jx = hd.J @ x
-        lhs = pg.nabla_ricci_at(x, jx, jx) - pg.nabla_ricci_at(jx, x, jx)
-        frame_trace = float(
-            np.einsum("ab,maj,j,mb->", S, hd.nabla_J, jx, pg.g_inv)
-        )
-        g_df_jx = pg.inner(hd.delta_F, jx)
-        rhs = (
-            0.5
-            * (
-                0.5 * pg.scalar_curvature_jet.directional(x)
-                - frame_trace
-                + g_df_jx * float(x @ S @ x)
-                + pg.nabla_ricci_at(x, jx, jx)
-                + float(hd.nabla_J_apply(x, x) @ S @ jx)
-            )
-            - 2.0 * (n - 1) * pd.nu_jet.directional(x)
-            - (2 * n - 1) * nu * g_df_jx
-        )
-        out.append(relative_residual(lhs, rhs))
-    return out
+def _eq12(pd: PointData, args: np.ndarray):
+    return _x_nu_sides(pd, args[:, 0], args[:, 1])
 
 
-def _eval_eq12(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    n = pd.pg.spec.n
-    out = []
-    for _ in range(count):
-        x, y = pool.admissible_pair()
-        lhs = 4.0 * (n - 1) * pd.nu_jet.directional(x)
-        rhs = _directional_combination(pd, x, y)
-        out.append(relative_residual(lhs, rhs))
-    return out
+def _eq13(pd: PointData, args: np.ndarray):
+    pg, nS = pd.pg, pd.pg.nabla_ricci
+    x = args[:, 0]
+    jx = x @ pd.hd.J.T
+    rhs = (
+        0.5 * (x @ pg.scalar_curvature_jet.gradient)
+        - contract(nS, x, jx, jx)
+        + contract(nS, jx, x, jx)
+    )
+    return 4.0 * (pg.spec.n - 1) * (x @ pd.nu_jet.gradient), rhs
 
 
-def _eval_eq13(pd: PointData, pool: _Pool, count: int) -> list[float]:
-    pg, hd = pd.pg, pd.hd
-    n = pg.spec.n
-    out = []
-    for _ in range(count):
-        x = pool.unit()
-        jx = hd.J @ x
-        lhs = 4.0 * (n - 1) * pd.nu_jet.directional(x)
-        rhs = (
-            0.5 * pg.scalar_curvature_jet.directional(x)
-            - pg.nabla_ricci_at(x, jx, jx)
-            + pg.nabla_ricci_at(jx, x, jx)
-        )
-        out.append(relative_residual(lhs, rhs))
-    return out
+@dataclass(frozen=True)
+class Identity:
+    """One row of the identity table.
+
+    ``requires`` is None for the purely Riemannian tags; otherwise it pairs
+    the classification classes of which one must pass with the skip reason
+    when none does.  ``min_n`` likewise pairs a least n with its reason.
+    ``note`` is the hypothesis note (``{spread}`` is the worst ν-batch
+    spread), and ``small_n_note`` is appended to it when n < 3.  One sample
+    takes ``args`` vectors, and ``sides(point_data, args)`` returns both
+    sides of the identity for a ``(count, args, d)`` batch.  LEMMA and
+    SCHUR compare values across points, so they draw nothing.
+    """
+
+    requires: tuple[tuple[str, ...], str] | None
+    const_nu: bool
+    min_n: tuple[int, str] | None
+    note: str
+    args: int
+    sides: Callable | None
+    antiholomorphic: bool = False
+    small_n_note: str = ""
 
 
-_EVALUATORS = {
-    "EQ1": _eval_eq1,
-    "EQ2": _eval_eq2,
-    "PROP3": _eval_prop3,
-    "PROP4": _eval_prop4,
-    "PROP5": _eval_prop5,
-    "EQ6": _eval_eq6,
-    "EQ7": _eval_eq7,
-    "EQ8": _eval_eq8,
-    "EQ9": _eval_eq9,
-    "EQ10": _eval_eq10,
-    "EQ11": _eval_eq11,
-    "EQ12": _eval_eq12,
-    "EQ13": _eval_eq13,
+_QK = (
+    ("quasi_kaehler", "nearly_kaehler"),
+    "requires the quasi-Kähler class (or nearly Kähler); classification residual above tolerance",
+)
+_QK2 = (("qk2",), "requires the quasi-Kähler class with the three-term identity")
+_AH3 = (("ah3",), "requires the J-invariant-curvature class")
+_X_NU = (2, "x(ν) needs n >= 2 (formula denominator)")
+_BIANCHI = "purely Riemannian (Bianchi family); no hypothesis"
+_CONST_NU = (
+    "J-invariant curvature + pointwise constant antiholomorphic curvature "
+    "(max plane-batch spread {spread:.3e})"
+)
+_DIRECTIONAL = "directional-derivative identity under the {} + constant-ν hypotheses"
+_DEFECTS = (
+    _DIRECTIONAL.format("J-invariant-curvature class")
+    + "; defect-term grouping ambiguous in general — B and δF vanish on every shipped model"
+)
+_NO_DEFECTS = _DIRECTIONAL.format("quasi-Kähler class with the three-term identity")
+_OUTSIDE = "; n < 3: outside the constancy theorem's range, checked anyway"
+
+IDENTITIES: dict[str, Identity] = {
+    # tag: Identity(requires, const_nu, min_n, note, args, sides, ...)
+    "EQ1": Identity(_QK, False, None, "holds on the quasi-Kähler curvature class by definition",
+                    4, lambda pd, args: hermitian.three_term_sides(pd.hd, args)),
+    "EQ2": Identity(_QK, False, None, "J-invariance of R; implied by the three-term identity",
+                    4, lambda pd, args: hermitian.j_invariance_sides(pd.hd, args)),
+    "PROP3": Identity(_AH3, True, None, _CONST_NU, 4, _prop3),
+    "PROP4": Identity(_AH3, True, None, _CONST_NU, 2, _prop4),
+    "PROP5": Identity(_AH3, True, None, _CONST_NU, 2, _prop5, antiholomorphic=True),
+    "EQ6": Identity(None, False, None, _BIANCHI, 5, _eq6),
+    "EQ7": Identity(None, False, None, _BIANCHI, 3, _eq7),
+    "EQ8": Identity(None, False, None, _BIANCHI, 1, _eq8),
+    "EQ9": Identity(_QK2, False, None, "star-scalar analogue of the contracted Bianchi identity",
+                    1, _eq9),
+    "EQ10": Identity(_AH3, True, _X_NU, _DEFECTS, 2, _eq10, antiholomorphic=True),
+    "EQ11": Identity(_AH3, True, _X_NU, _DEFECTS, 1, _eq11),
+    "EQ12": Identity(_QK2, True, _X_NU, _NO_DEFECTS, 2, _eq12, antiholomorphic=True,
+                     small_n_note=_OUTSIDE),
+    "EQ13": Identity(_QK2, True, _X_NU, _NO_DEFECTS, 1, _eq13, small_n_note=_OUTSIDE),
+    "LEMMA": Identity(_QK2, True, (2, "stated for n >= 2"),
+                      "(n+1)τ − 3τ* constant across points", 0, None),
+    "SCHUR": Identity(_QK2, True, None, "global constancy of ν, τ, τ*", 0, None,
+                      small_n_note="; n < 3: below the constancy theorem's range, checked anyway"),
 }
+
+IDENTITY_TAGS = tuple(IDENTITIES)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +455,9 @@ class Session:
             spec, config.points, _rng(config.seed, _PURPOSE_POINTS)
         )
 
-        sym = max(float(metric_symmetry_residual(spec, p)) for p in self.points)
+        sym = worst_residual([metric_symmetry_residual(spec, p) for p in self.points])
         pos = all(metric_positive_definite(spec, p) for p in self.points)
-        self.metric_ok = sym <= VALIDATION_TOL and pos
+        self.metric_ok = sym <= METRIC_SYMMETRY_TOL and pos
         self.validation = {
             "metric_symmetry": sym,
             "positive_definite": pos,
@@ -502,24 +468,14 @@ class Session:
 
         self.data: list[PointData] = []
         if self.metric_ok:
-            workers = _worker_count(config.points)
-            ids = range(config.points)
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    self.data = list(
-                        pool.map(
-                            lambda i: _point_data(spec, self.points[i], i, config), ids
-                        )
-                    )
-            else:
-                self.data = [_point_data(spec, self.points[i], i, config) for i in ids]
+            self.data = [_point_data(spec, p, i, config) for i, p in enumerate(self.points)]
         if self.data and self.data[0].hd is not None:
             for key, attr in (
                 ("j_squared", "j_squared_residual"),
                 ("compatibility", "compatibility_residual"),
                 ("j_low_antisymmetry", "j_low_antisymmetry_residual"),
             ):
-                self.validation[key] = max(getattr(pd.hd, attr) for pd in self.data)
+                self.validation[key] = worst_residual([getattr(pd.hd, attr) for pd in self.data])
         self.validation["ok"] = self.metric_ok and all(
             self.validation[k] is None or self.validation[k] <= VALIDATION_TOL
             for k in ("j_squared", "compatibility", "j_low_antisymmetry")
@@ -539,7 +495,7 @@ class Session:
             self.classification = merge_classifications(per_point, config.tol)
 
         self.nu_spread = (
-            max(pd.nu_est.spread for pd in self.data)
+            worst_residual([pd.nu_est.spread for pd in self.data])
             if self.j_valid and all(pd.nu_est is not None for pd in self.data)
             else None
         )
@@ -564,116 +520,50 @@ class Session:
             return None
         return self.nu_spread <= NU_GATE_FACTOR * self.config.tol
 
-    def _class_ok(self, name: str) -> bool:
-        return self.classification is not None and self.classification[name].passed
-
-    def _gate(self, tag: str) -> tuple[bool, str]:
-        """(applicable, reason-or-note).  The note doubles as the
-        hypothesis_note on success and the skip reason on failure."""
+    def _unmet(self, row: Identity) -> str | None:
+        """The first hypothesis of ``row`` that fails here, or None."""
         if not self.metric_ok:
-            return False, (
+            return (
                 "metric failed validation (asymmetric or not positive definite "
                 "at a sampled point)"
             )
-        if tag in ("EQ6", "EQ7", "EQ8"):
-            return True, "purely Riemannian (Bianchi family); no hypothesis"
+        if row.requires is None:
+            return None
         if not self.has_j:
-            return False, "no almost-complex structure on this manifold"
+            return "no almost-complex structure on this manifold"
         if not self.j_valid:
-            return False, (
+            return (
                 "almost-complex structure failed validation "
                 f"(worst structural residual {self._worst_structural():.3e})"
             )
-        qk = self._class_ok("quasi_kaehler") or self._class_ok("nearly_kaehler")
-        qk2 = self._class_ok("qk2")
-        ah3 = self._class_ok("ah3")
-        const_nu = self.pointwise_constant_nu
-        n = self.spec.n
-
-        def need_const_nu(base: str) -> tuple[bool, str] | None:
+        classes, reason = row.requires
+        if not any(self.classification[name].passed for name in classes):
+            return reason
+        if row.const_nu:
+            base = "requires pointwise constant antiholomorphic curvature"
             if self.spec.dim < 4:
-                return False, f"{base}: needs dim >= 4 (antiholomorphic planes)"
-            if const_nu is None:
-                return False, f"{base}: antiholomorphic curvature unavailable"
-            if not const_nu:
-                return False, (
+                return f"{base}: needs dim >= 4 (antiholomorphic planes)"
+            if self.pointwise_constant_nu is None:
+                return f"{base}: antiholomorphic curvature unavailable"
+            if not self.pointwise_constant_nu:
+                return (
                     f"{base}: antiholomorphic curvature is not pointwise constant "
                     f"(max plane-batch spread {self.nu_spread:.3e} exceeds "
                     f"{NU_GATE_FACTOR:g} x tol)"
                 )
-            return None
+        if row.min_n is not None and self.spec.n < row.min_n[0]:
+            return row.min_n[1]
+        return None
 
-        if tag in ("EQ1", "EQ2"):
-            if not qk:
-                return False, (
-                    "requires the quasi-Kähler class (or nearly Kähler); "
-                    "classification residual above tolerance"
-                )
-            note = (
-                "holds on the quasi-Kähler curvature class by definition"
-                if tag == "EQ1"
-                else "J-invariance of R; implied by the three-term identity"
-            )
-            return True, note
-        if tag in ("PROP3", "PROP4", "PROP5"):
-            if not ah3:
-                return False, "requires the J-invariant-curvature class"
-            blocked = need_const_nu("requires pointwise constant antiholomorphic curvature")
-            if blocked:
-                return blocked
-            return True, (
-                "J-invariant curvature + pointwise constant antiholomorphic "
-                f"curvature (max plane-batch spread {self.nu_spread:.3e})"
-            )
-        if tag == "EQ9":
-            if not qk2:
-                return False, "requires the quasi-Kähler class with the three-term identity"
-            return True, "star-scalar analogue of the contracted Bianchi identity"
-        if tag in ("EQ10", "EQ11", "EQ12", "EQ13"):
-            hypothesis = (
-                ah3 if tag in ("EQ10", "EQ11") else qk2
-            )
-            hyp_name = (
-                "J-invariant-curvature class"
-                if tag in ("EQ10", "EQ11")
-                else "quasi-Kähler class with the three-term identity"
-            )
-            if not hypothesis:
-                return False, f"requires the {hyp_name}"
-            blocked = need_const_nu("requires pointwise constant antiholomorphic curvature")
-            if blocked:
-                return blocked
-            if n < 2:
-                return False, "x(ν) needs n >= 2 (formula denominator)"
-            note = f"directional-derivative identity under the {hyp_name} + constant-ν hypotheses"
-            if tag in ("EQ10", "EQ11"):
-                note += (
-                    "; defect-term grouping ambiguous in general — B and δF "
-                    "vanish on every shipped model"
-                )
-            if tag in ("EQ12", "EQ13") and n < 3:
-                note += "; n < 3: outside the constancy theorem's range, checked anyway"
-            return True, note
-        if tag == "LEMMA":
-            if not qk2:
-                return False, "requires the quasi-Kähler class with the three-term identity"
-            blocked = need_const_nu("requires pointwise constant antiholomorphic curvature")
-            if blocked:
-                return blocked
-            if n < 2:
-                return False, "stated for n >= 2"
-            return True, "(n+1)τ − 3τ* constant across points"
-        if tag == "SCHUR":
-            if not qk2:
-                return False, "requires the quasi-Kähler class with the three-term identity"
-            blocked = need_const_nu("requires pointwise constant antiholomorphic curvature")
-            if blocked:
-                return blocked
-            note = "global constancy of ν, τ, τ*"
-            if n < 3:
-                note += "; n < 3: below the constancy theorem's range, checked anyway"
-            return True, note
-        raise ValueError(f"unknown identity tag {tag!r}")
+    def _note(self, tag: str) -> str:
+        """``tag``'s hypothesis note; raises HypothesisNotMetError naming the
+        first unmet hypothesis when the tag does not apply."""
+        row = IDENTITIES[tag]
+        reason = self._unmet(row)
+        if reason is not None:
+            raise HypothesisNotMetError(f"{tag} not applicable: {reason}", missing=reason)
+        note = row.note.format(spread=self.nu_spread)
+        return note + row.small_n_note if self.spec.n < 3 else note
 
     def _worst_structural(self) -> float:
         vals = [
@@ -681,54 +571,36 @@ class Session:
             for k in ("j_squared", "compatibility", "j_low_antisymmetry")
             if self.validation[k] is not None
         ]
-        return max(vals) if vals else float("nan")
+        return worst_residual(vals) if vals else float("nan")
 
     # -- checks
 
     def identity(self, tag: str) -> IdentityResult:
-        if tag not in IDENTITY_TAGS:
+        if tag not in IDENTITIES:
             raise ValueError(f"unknown identity tag {tag!r}; known: {', '.join(IDENTITY_TAGS)}")
-        ok, note = self._gate(tag)
-        if not ok:
-            raise HypothesisNotMetError(f"{tag} not applicable: {note}", missing=note)
+        note = self._note(tag)
         cfg = self.config
         if tag == "LEMMA":
-            values = [pd.lemma_value for pd in self.data]
-            res = max(
-                (
-                    relative_residual(a, b)
-                    for i, a in enumerate(values)
-                    for b in values[i + 1:]
-                ),
-                default=0.0,
-            )
+            values = np.array([pd.lemma_value for pd in self.data])
+            res = worst_residual(relative_residual(values[:, None], values[None, :]))
             return IdentityResult(tag, res, len(values), cfg.tol, note)
         if tag == "SCHUR":
             stats = self.schur()
-            res = max(
-                spread / (1.0 + abs(np.mean(vals))) if vals else 0.0
-                for spread, vals in (
-                    (stats.spreads["nu_formula"], stats.nu_formula),
-                    (stats.spreads["tau"], stats.tau),
-                    (stats.spreads["tau_star"], stats.tau_star),
-                )
-            )
+            res = worst_residual([
+                stats.spreads[key] / (1.0 + abs(np.mean(getattr(stats, key))))
+                for key in ("nu_formula", "tau", "tau_star")
+            ])
             return IdentityResult(tag, res, len(stats.tau), cfg.tol, note)
-        evaluator = _EVALUATORS[tag]
-        tag_idx = IDENTITY_TAGS.index(tag)
-        worst = 0.0
-        samples = 0
-        for i, pd in enumerate(self.data):
-            pool = _Pool(pd, _rng(cfg.seed, _PURPOSE_TAG + tag_idx, i))
-            residuals = evaluator(pd, pool, cfg.vectors)
-            samples += len(residuals)
-            worst = max(worst, max(residuals))
-        return IdentityResult(tag, worst, samples, cfg.tol, note)
+        row = IDENTITIES[tag]
+        key = _PURPOSE_TAG + IDENTITY_TAGS.index(tag)
+        residuals = np.concatenate([
+            relative_residual(*row.sides(pd, _draw(pd, row, cfg.vectors, _rng(cfg.seed, key, i))))
+            for i, pd in enumerate(self.data)
+        ])
+        return IdentityResult(tag, worst_residual(residuals), residuals.size, cfg.tol, note)
 
     def schur(self) -> SchurStatistics:
-        ok, note = self._gate("SCHUR")
-        if not ok:
-            raise HypothesisNotMetError(f"SCHUR not applicable: {note}", missing=note)
+        self._note("SCHUR")
         warnings = []
         if self.spec.n < 3:
             warnings.append(
@@ -745,18 +617,6 @@ class Session:
             tolerance=self.config.tol,
             warnings=warnings,
         )
-
-
-def _worker_count(points: int) -> int:
-    env = os.environ.get("CURVLAB_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise CurvlabError(f"CURVLAB_THREADS must be an integer, got {env!r}") from None
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, points, 8))
 
 
 # ---------------------------------------------------------------------------

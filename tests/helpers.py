@@ -154,3 +154,100 @@ def fd_christoffel(spec, point: np.ndarray, h: float = 0.02) -> np.ndarray:
             for l in range(d):
                 lower[i, j, l] = dg[i, j, l] + dg[j, i, l] - dg[l, i, j]
     return 0.5 * np.einsum("kl,ijl->kij", g_inv, lower)
+
+
+# ---------------------------------------------------------------------------
+# scalar identity formulas: one sample at a time, from the per-point
+# reference evaluations (PointGeometry.curvature, nabla_curvature,
+# nabla_ricci_at) and sums over a g-orthonormal frame
+
+
+def _forms(g, J, S, x, y, z, u):
+    """(metric form, Kähler form, Ricci form) at (x, y, z, u)."""
+    G = lambda a, b: float(a @ g @ b)  # noqa: E731
+    Sf = lambda a, b: float(a @ S @ b)  # noqa: E731
+    jx, jy, jz = J @ x, J @ y, J @ z
+    metric = G(y, z) * G(x, u) - G(x, z) * G(y, u)
+    kaehler = G(jy, z) * G(jx, u) - G(jx, z) * G(jy, u) - 2.0 * G(jx, y) * G(jz, u)
+    ricci = (
+        G(jy, z) * Sf(jx, u) - G(jx, z) * Sf(jy, u) - 2.0 * G(jx, y) * Sf(jz, u)
+        + G(jx, u) * Sf(jy, z) - G(jy, u) * Sf(jx, z) - 2.0 * G(jz, u) * Sf(jx, y)
+    )
+    return metric, kaehler, ricci
+
+
+def scalar_sides(tag: str, pd, args: np.ndarray) -> tuple[float, float]:
+    """Both sides of identity ``tag`` for one sample ``args`` (k x d) at the
+    point bundle ``pd`` (a ``verify.PointData``)."""
+    pg, hd = pd.pg, pd.hd
+    g, S, frame, n = pg.g, pg.ricci, pd.frame_rows, pg.spec.n
+    R, nR, nS = pg.curvature, pg.nabla_curvature, pg.nabla_ricci_at
+    J = hd.J if hd is not None else None
+    tau = pg.scalar_curvature_jet
+    if tag == "EQ1":
+        x, y, z, u = args
+        rhs = R(x, y, J @ z, J @ u) + R(x, J @ y, z, J @ u) + R(J @ x, y, z, J @ u)
+        return R(x, y, z, u), rhs
+    if tag == "EQ2":
+        x, y, z, u = args
+        return R(x, y, z, u), R(J @ x, J @ y, J @ z, J @ u)
+    nu = pd.nu_jet.value if pd.nu_jet is not None else None
+    if tag == "PROP3":
+        x, y, z, u = args
+        metric, kaehler, ricci = _forms(g, J, S, x, y, z, u)
+        return R(x, y, z, u), ricci / 6.0 + nu * metric - ((2 * n - 1) / 3.0) * nu * kaehler
+    if tag == "PROP4":
+        x, y = args
+        coeff = ((n + 1) * pg.scalar_curvature - 3.0 * hd.star_scalar) / (2.0 * n)
+        lhs = (n + 1) * float(x @ S @ y) - 3.0 * float(x @ hd.ricci_star @ y)
+        return lhs, coeff * float(x @ g @ y)
+    if tag == "PROP5":
+        x, y = args
+        return R(x, y, y, x), nu
+    if tag == "EQ6":
+        w, x, y, z, u = args
+        return nR(w, x, y, z, u) + nR(x, y, w, z, u) + nR(y, w, x, z, u), 0.0
+    if tag == "EQ7":
+        x, y, z = args
+        return nS(x, y, z) - nS(y, x, z), sum(nR(e, x, y, z, e) for e in frame)
+    if tag == "EQ8":
+        (x,) = args
+        return sum(nS(e, x, e) for e in frame), 0.5 * tau.directional(x)
+    if tag == "EQ9":
+        (x,) = args
+        return (
+            sum(hd.nabla_ricci_star_at(e, x, e) for e in frame),
+            0.5 * hd.star_scalar_jet.directional(x),
+        )
+    x_nu = 4.0 * (n - 1) * pd.nu_jet.directional(args[0])
+    if tag in ("EQ10", "EQ12"):
+        x, y = args
+        jy = J @ y
+        combination = nS(x, y, y) + nS(x, jy, jy) - nS(y, x, y) - nS(jy, x, jy)
+        if tag == "EQ12":
+            return x_nu, combination
+        jby = J @ (hd.nabla_J_apply(y, y) + hd.nabla_J_apply(jy, jy))
+        g_jby_x = float(jby @ g @ x)
+        return x_nu, (
+            combination - float(jby @ S @ x) - g_jby_x * float(y @ S @ y)
+            + 2.0 * (2 * n - 1) * nu * g_jby_x
+        )
+    (x,) = args
+    jx = J @ x
+    if tag == "EQ13":
+        return x_nu, 0.5 * tau.directional(x) - nS(x, jx, jx) + nS(jx, x, jx)
+    assert tag == "EQ11", tag
+    frame_trace = sum(float(hd.nabla_J_apply(e, jx) @ S @ e) for e in frame)
+    g_df_jx = float(delta_f_by_frame(hd.nabla_J, frame) @ g @ jx)
+    rhs = (
+        0.5 * (
+            0.5 * tau.directional(x)
+            - frame_trace
+            + g_df_jx * float(x @ S @ x)
+            + nS(x, jx, jx)
+            + float(hd.nabla_J_apply(x, x) @ S @ jx)
+        )
+        - 0.5 * x_nu
+        - (2 * n - 1) * nu * g_df_jx
+    )
+    return nS(x, jx, jx) - nS(jx, x, jx), rhs

@@ -194,6 +194,40 @@ def test_manifold_selector_is_required():
     assert err.value.code == 2
 
 
+def test_non_finite_curvature_fails(tmp_path, capsys):
+    # g11 near the top of the float range: ∇R overflows to inf/nan at every
+    # sampled point, which must fail the Bianchi tags rather than vanish
+    # from their maxima
+    metric = [row[:] for row in FLAT_METRIC]
+    metric[0][0] = "1e300*(1 + x2^2 + x3^2*x4)"
+    metric[1][1] = "1 + x1^2"
+    path = write_doc(
+        tmp_path, metric=metric,
+        sample_box={"center": [0.5] * 4, "half_width": [0.4] * 4},
+    )
+    rc = main(["report", "--file", path])
+    assert rc == 1
+    doc = json.loads(capsys.readouterr().out)
+    rows = {row["tag"]: row for row in doc["identities"]}
+    for tag in ("EQ6", "EQ7"):
+        assert rows[tag]["pass"] is False
+        assert rows[tag]["max_residual"] != rows[tag]["max_residual"]  # NaN
+    assert doc["pass"] is False
+
+
+def test_metric_asymmetry_below_threshold_still_reports(tmp_path, capsys):
+    # an asymmetry the validation accepts must be accepted everywhere: the
+    # chart then works on the symmetric part of g
+    metric = [row[:] for row in FLAT_METRIC]
+    metric[1][0] = "5e-9*x1^2"
+    path = write_doc(tmp_path, metric=metric, complex_structure=STD_J)
+    rc = main(["report", "--file", path])
+    assert rc in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    assert 0.0 < doc["validation"]["metric_symmetry"] <= 1e-8
+    assert doc["validation"]["ok"] is True
+
+
 def test_exit_three_on_domain_escape(tmp_path, capsys):
     # log leaves its domain inside the sample box: an evaluation error, not
     # a usage error and not a failed check

@@ -7,10 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvlab import verify
 from curvlab.cli import load_manifold_file
-from curvlab.errors import CurvlabError, HypothesisNotMetError
+from curvlab.errors import HypothesisNotMetError
+from curvlab.geometry import ExprMatrixField, ManifoldSpec
+from curvlab.hermitian import relative_residual
 from curvlab.modelspaces import make_flat
 from curvlab.verify import (
+    IDENTITIES,
     IDENTITY_TAGS,
     CheckConfig,
     Session,
@@ -18,6 +22,7 @@ from curvlab.verify import (
     full_report,
     schur_check,
 )
+from helpers import rel_err, scalar_sides
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -191,19 +196,53 @@ def test_suite_selectors(cd2):
     assert schur_only.identities == [] and schur_only.schur is not None
 
 
-def test_reports_are_deterministic(cp2, monkeypatch):
+def test_reports_are_deterministic(cp2):
     cfg = CheckConfig(**QUICK)
     base = full_report(cp2, cfg, "all").to_dict()
     assert full_report(cp2, cfg, "all").to_dict() == base
-    # thread count must not leak into results
-    monkeypatch.setenv("CURVLAB_THREADS", "1")
-    serial = full_report(cp2, cfg, "all").to_dict()
-    monkeypatch.setenv("CURVLAB_THREADS", "3")
-    threaded = full_report(cp2, cfg, "all").to_dict()
-    assert serial == base and threaded == base
 
 
-def test_thread_env_must_be_integer(flat2, monkeypatch):
-    monkeypatch.setenv("CURVLAB_THREADS", "many")
-    with pytest.raises(CurvlabError):
-        Session(flat2, CheckConfig(**QUICK))
+@pytest.fixture(scope="module")
+def twisted():
+    """Conformally flat metric with a J that rotates along x2: J is
+    g-orthogonal with J² = −1 but far from Kähler, so ∇J, B and δF (which
+    vanish on the builtins) are all nonzero."""
+    c, s = "cos(x2/2)", "sin(x2/2)"
+    J = [
+        ["0", f"-{c}", "0", s],
+        [c, "0", s, "0"],
+        ["0", f"-{s}", "0", f"-{c}"],
+        [f"-{s}", "0", c, "0"],
+    ]
+    phi = "(1 + 0.1*x1^2 + 0.05*x3*x4)"
+    g = [[phi if i == j else "0" for j in range(4)] for i in range(4)]
+    return ManifoldSpec("twisted", 4, ExprMatrixField(g, 4), ExprMatrixField(J, 4))
+
+
+@pytest.mark.parametrize("model", ["cp2", "s6", "kahler_bump", "twisted"])
+def test_batched_evaluators_match_scalar_formulas(model, request):
+    # every table row, on one point, against the scalar formula applied
+    # sample by sample to the same argument array
+    spec = request.getfixturevalue(model)
+    session = Session(spec, CheckConfig(points=1, planes=8, vectors=12, seed=5))
+    pd = session.data[0]
+    rng = np.random.default_rng(11)
+    for tag, row in IDENTITIES.items():
+        if row.sides is None:
+            continue
+        args = verify._draw(pd, row, 12, rng)
+        assert args.shape == (12, row.args, pd.pg.spec.dim)
+        if row.antiholomorphic:
+            x, y = args[:, 0], args[:, 1]
+            gram = np.einsum("nia,ab,njb->nij", args, pd.pg.g, args)
+            np.testing.assert_allclose(gram, np.broadcast_to(np.eye(2), gram.shape), atol=1e-12)
+            g_jy_x = np.einsum("na,ab,nb->n", y @ pd.hd.J.T, pd.pg.g, x)
+            np.testing.assert_allclose(g_jy_x, 0.0, atol=1e-12)
+        lhs, rhs = np.broadcast_arrays(*row.sides(pd, args))
+        residuals = relative_residual(lhs, rhs)
+        for i, sample in enumerate(args):
+            want_lhs, want_rhs = scalar_sides(tag, pd, sample)
+            assert rel_err(lhs[i], want_lhs) <= 1e-12, (tag, i)
+            assert rel_err(rhs[i], want_rhs) <= 1e-12, (tag, i)
+            want = relative_residual(want_lhs, want_rhs)
+            assert residuals[i] == pytest.approx(want, rel=1e-12, abs=1e-12), (tag, i)
