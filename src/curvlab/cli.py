@@ -24,7 +24,8 @@ description::
 Exit codes: 0 all checks passed, 1 some check failed its tolerance (or
 validation failed), 2 usage/schema error, 3 evaluation-domain error.
 Reports are byte-identical for identical configurations: fixed key order,
-floats at 17 significant digits, deterministic seeding.
+floats at 17 significant digits (non-finite ones as ``null``),
+deterministic seeding.
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ from .errors import (
     ExprError,
     SchemaError,
 )
-from .geometry import ExprMatrixField, ManifoldSpec, SampleBox
+from .geometry import METRIC_SYMMETRY_TOL, ExprMatrixField, ManifoldSpec, SampleBox
 from .modelspaces import BUILTIN_MODELS, build_builtin
 from .verify import IDENTITY_TAGS, CheckConfig, Report, full_report
-
-_SYMMETRY_LOAD_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +196,10 @@ def load_manifold_file(path: str) -> ManifoldSpec:
         raise SchemaError("/sample_box/center: violates the domain predicate")
     g = spec.metric.evaluate(center, 0)[..., 0]
     sym = float(np.abs(g - g.T).max())
-    if sym > _SYMMETRY_LOAD_TOL:
+    if sym > METRIC_SYMMETRY_TOL:
         raise SchemaError(
             f"/metric: not symmetric at the sample-box center "
-            f"(residual {sym:.3e} exceeds {_SYMMETRY_LOAD_TOL:g})"
+            f"(residual {sym:.3e} exceeds {METRIC_SYMMETRY_TOL:g})"
         )
     eigmin = float(np.linalg.eigvalsh(0.5 * (g + g.T)).min())
     if eigmin <= 0.0:
@@ -273,10 +272,10 @@ def run(config: RunConfig) -> int:
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
+    # strict JSON has no NaN/Infinity; a non-finite residual never passes,
+    # so its row says so through "pass": false
+    if not math.isfinite(x):
+        return "null"
     return format(x, ".17g")
 
 

@@ -319,9 +319,21 @@ def evaluate(expr: Expr, coords: Sequence[jets.Jet]) -> jets.Jet:
 
 
 def evaluate_values(expr: Expr, xs: Sequence[float]) -> float:
-    """Plain float evaluation; an independent path from the jet walker."""
+    """Plain float evaluation; an independent path from the jet walker.
+
+    A float operation that overflows or underflows into a division by zero
+    raises :class:`EvaluationDomainError` at the offending subexpression.
+    """
 
     def walk(node: Expr) -> float:
+        try:
+            return step(node)
+        except (OverflowError, ZeroDivisionError) as err:
+            raise EvaluationDomainError(
+                f"float result out of range ({err})", offset=node.pos
+            ) from None
+
+    def step(node: Expr) -> float:
         if isinstance(node, Const):
             return node.value
         if isinstance(node, Var):

@@ -5,7 +5,8 @@ order budget works out as follows: the metric is evaluated as order-3
 jets, so Christoffel symbols carry order 2, the curvature tensor order 1,
 and covariant derivatives of curvature come out as plain values — exactly
 enough for every identity this package checks, with no finite
-differencing anywhere in the pipeline.
+differencing anywhere in the pipeline.  The inverse metric is built at
+order 2 only, since Γ = ½ g⁻¹ ∂g is the highest-order product it enters.
 
 Sign conventions (pinned by the unit-sphere test in the suite):
 
@@ -228,17 +229,18 @@ class PointGeometry:
                 f"metric of {spec.name!r} is not positive definite at {self.point!r}"
             ) from None
 
-        # inverse metric as order-3 jets: Newton iteration X <- X(2I - GX)
-        # doubles the correct order each step, so two steps suffice from the
-        # exact value-level inverse.
-        ginv0 = np.linalg.inv(self.g)
-        X = np.zeros_like(G)
-        X[..., 0] = ginv0
-        twoI = np.zeros_like(G)
+        # inverse metric as order-2 jets, the highest order anything reads:
+        # Newton iteration X <- X(2I - GX) doubles the correct order each
+        # step, so two steps suffice from the exact value-level inverse.
+        G2 = jets.truncate_coeffs(G, ctx3, 2)
+        X = np.zeros_like(G2)
+        X[..., 0] = np.linalg.inv(self.g)
+        twoI = np.zeros_like(G2)
         twoI[..., 0] = 2.0 * np.eye(d)
         for _ in range(2):
-            K = twoI - jets.jet_einsum("ab,bc->ac", G, X, ctx3)
-            X = jets.jet_einsum("ab,bc->ac", X, K, ctx3)
+            K = twoI - jets.jet_einsum("ab,bc->ac", G2, X, ctx2)
+            X = jets.jet_einsum("ab,bc->ac", X, K, ctx2)
+        del G2, K
         self.g_inv_jets = X
         self.g_inv = X[..., 0].copy()
 
@@ -249,8 +251,7 @@ class PointGeometry:
         dG = np.stack([jets.partial_coeffs(G, m, ctx3) for m in range(d)])
         lower = dG + dG.transpose(1, 0, 2, 3) - dG.transpose(1, 2, 0, 3)
         del dG
-        ginv2 = jets.truncate_coeffs(X, ctx3, 2)
-        gamma_jets = 0.5 * jets.jet_einsum("kl,ijl->kij", ginv2, lower, ctx2)
+        gamma_jets = 0.5 * jets.jet_einsum("kl,ijl->kij", X, lower, ctx2)
         self.gamma = gamma_jets[..., 0].copy()
         del lower
 
@@ -268,7 +269,7 @@ class PointGeometry:
         self.riemann = self.riemann_jets[..., 0].copy()
         del upper
 
-        ginv1 = jets.truncate_coeffs(X, ctx3, 1)
+        ginv1 = jets.truncate_coeffs(X, ctx2, 1)
         self.ricci_jets = jets.jet_einsum("apqb,pq->ab", self.riemann_jets, ginv1, ctx1)
         self.ricci = self.ricci_jets[..., 0].copy()
         tau_coeffs = jets.jet_einsum("ab,ab->", self.ricci_jets, ginv1, ctx1)

@@ -88,7 +88,7 @@ class HermitianData:
         # star-Ricci: S*(x,y) = trace of v -> R(x, v, Jv, Jy), computed
         # frame-free as S*_ab = R_apqs g^pr Jq_r Js_b, kept as order-1 jets
         # so its covariant derivative and x(τ*) are available.
-        ginv1 = jets.truncate_coeffs(pg.g_inv_jets, jets.get_context(d, 3), 1)
+        ginv1 = jets.truncate_coeffs(pg.g_inv_jets, jets.get_context(d, 2), 1)
         t = jets.jet_einsum("apqs,pr->arqs", pg.riemann_jets, ginv1, ctx1)
         t = jets.jet_einsum("arqs,qr->as", t, self.J_jets, ctx1)
         self.ricci_star_jets = jets.jet_einsum("as,sb->ab", t, self.J_jets, ctx1)

@@ -229,7 +229,10 @@ def apply_series(a: np.ndarray, series: Sequence[float], ctx: JetContext) -> np.
 
 
 def _series_exp(v: float, order: int) -> list[float]:
-    e = math.exp(v)
+    try:
+        e = math.exp(v)
+    except OverflowError:
+        raise EvaluationDomainError(f"exp of {v!r} leaves the float range") from None
     return [e / math.factorial(k) for k in range(order + 1)]
 
 
@@ -237,8 +240,13 @@ def _series_log(v: float, order: int) -> list[float]:
     if v <= 0.0:
         raise EvaluationDomainError(f"log of non-positive value {v!r}")
     out = [math.log(v)]
-    for k in range(1, order + 1):
-        out.append((-1.0) ** (k - 1) / (k * v**k))
+    try:
+        for k in range(1, order + 1):
+            out.append((-1.0) ** (k - 1) / (k * v**k))
+    except (OverflowError, ZeroDivisionError):
+        raise EvaluationDomainError(
+            f"derivatives of log at {v!r} leave the float range"
+        ) from None
     return out
 
 
@@ -256,9 +264,14 @@ def _series_power(v: float, q: float, order: int) -> list[float]:
     # c_k = binom(q, k) v^(q-k); used for sqrt (q=1/2) and 1/x (q=-1)
     out = []
     coef = 1.0
-    for k in range(order + 1):
-        out.append(coef * v ** (q - k))
-        coef *= (q - k) / (k + 1)
+    try:
+        for k in range(order + 1):
+            out.append(coef * v ** (q - k))
+            coef *= (q - k) / (k + 1)
+    except OverflowError:
+        raise EvaluationDomainError(
+            f"derivatives of x^{q:g} at {v!r} leave the float range"
+        ) from None
     return out
 
 
@@ -430,17 +443,22 @@ class Jet:
         )
 
     def _int_pow(self, k: int) -> "Jet":
+        """Binary powering from the base: ⌊log₂k⌋ squarings plus
+        popcount(k) − 1 products (k = 0 gives the constant 1)."""
         if k < 0:
             base = Jet(self.dim, self.order, reciprocal_coeffs(self.coeffs, self._ctx))
             return base._int_pow(-k)
-        result = Jet(self.dim, self.order, constant_coeffs(1.0, self._ctx))
+        if k == 0:
+            return Jet(self.dim, self.order, constant_coeffs(1.0, self._ctx))
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
 
 def seed(point: Sequence[float], order: int) -> list[Jet]:

@@ -20,19 +20,35 @@ from .errors import DimensionError, FrameConstructionError
 _ORTHO_TOL = 1e-10
 
 
+def _g_norm(v: np.ndarray, g: np.ndarray) -> float:
+    return float(np.sqrt(max(v @ g @ v, 0.0)))
+
+
+def _least_g_norm(g: np.ndarray) -> float:
+    """sqrt(λ_min(g)), the least g-norm of a chart vector of Euclidean
+    length 1.  A vector whose projection off a span keeps a g-norm of at
+    most ``tol`` times this times its Euclidean length lies within relative
+    Euclidean distance ``tol`` of that span, in any units of g.  Where
+    rounding puts λ_min(g) at or below 0 only a zero norm is degenerate."""
+    return float(np.sqrt(max(np.linalg.eigvalsh(g)[0], 0.0)))
+
+
 def gram_schmidt(vectors: np.ndarray, g: np.ndarray, drop_tol: float = 1e-8) -> np.ndarray:
     """g-orthonormalize rows of ``vectors`` (modified Gram-Schmidt).
 
     Raises :class:`FrameConstructionError` when a row is (numerically) in
-    the span of the previous ones.
+    the span of the previous ones: within relative Euclidean distance
+    ``drop_tol`` of it (see :func:`_least_g_norm`).
     """
     out = np.array(vectors, dtype=float)
+    floor = drop_tol * _least_g_norm(g)
     for k in range(out.shape[0]):
         v = out[k]
+        length = float(np.linalg.norm(v))
         for j in range(k):
             v = v - (out[j] @ g @ v) * out[j]
-        nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-        if nrm < drop_tol:
+        nrm = _g_norm(v, g)
+        if nrm <= floor * length:
             raise FrameConstructionError(
                 f"vector {k} degenerated during orthonormalization (norm {nrm:.2e})"
             )
@@ -49,11 +65,13 @@ def orthonormal_frame(g: np.ndarray, rng: np.random.Generator | None = None) -> 
 
 
 def _unit_rows(g: np.ndarray, v: np.ndarray, redraw) -> np.ndarray:
-    """Rows of ``v`` scaled to g-unit length.  Rows too short to scale are
+    """Rows of ``v`` scaled to g-unit length.  Rows too short to scale (a
+    g-norm at most 1e-8 of the least one their Euclidean length allows) are
     replaced by ``redraw(mask)`` for the rows in ``mask``, up to 16 times."""
+    floor = 1e-8 * _least_g_norm(g)
     for _ in range(16):
         nrm = np.sqrt(np.maximum(np.vecdot(np.vecmat(v, g), v), 0.0))
-        short = nrm <= 1e-8
+        short = nrm <= floor * np.linalg.norm(v, axis=-1)
         if not short.any():
             v /= nrm[:, None]
             return v
@@ -142,15 +160,17 @@ def adapted_frame(g: np.ndarray, J: np.ndarray, rng: np.random.Generator) -> Ada
     the next random seed off the accumulated span, and so on."""
     d = g.shape[0]
     n = d // 2
+    floor = 1e-8 * _least_g_norm(g)
     us: list[np.ndarray] = []
     jus: list[np.ndarray] = []
     for _ in range(n):
         for attempt in range(16):
             v = rng.normal(size=d)
+            length = float(np.linalg.norm(v))
             for w in (*us, *jus):
                 v = v - (w @ g @ v) * w
-            nrm = float(np.sqrt(max(v @ g @ v, 0.0)))
-            if nrm > 1e-8:
+            nrm = _g_norm(v, g)
+            if not nrm <= floor * length:
                 break
         else:
             raise FrameConstructionError(

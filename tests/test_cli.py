@@ -194,6 +194,10 @@ def test_manifold_selector_is_required():
     assert err.value.code == 2
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def test_non_finite_curvature_fails(tmp_path, capsys):
     # g11 near the top of the float range: ∇R overflows to inf/nan at every
     # sampled point, which must fail the Bianchi tags rather than vanish
@@ -207,25 +211,27 @@ def test_non_finite_curvature_fails(tmp_path, capsys):
     )
     rc = main(["report", "--file", path])
     assert rc == 1
-    doc = json.loads(capsys.readouterr().out)
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     rows = {row["tag"]: row for row in doc["identities"]}
     for tag in ("EQ6", "EQ7"):
         assert rows[tag]["pass"] is False
-        assert rows[tag]["max_residual"] != rows[tag]["max_residual"]  # NaN
+        assert rows[tag]["max_residual"] is None  # NaN, written as null
     assert doc["pass"] is False
 
 
 def test_metric_asymmetry_below_threshold_still_reports(tmp_path, capsys):
     # an asymmetry the validation accepts must be accepted everywhere: the
-    # chart then works on the symmetric part of g
-    metric = [row[:] for row in FLAT_METRIC]
-    metric[1][0] = "5e-9*x1^2"
-    path = write_doc(tmp_path, metric=metric, complex_structure=STD_J)
-    rc = main(["report", "--file", path])
-    assert rc in (0, 1)
-    doc = json.loads(capsys.readouterr().out)
-    assert 0.0 < doc["validation"]["metric_symmetry"] <= 1e-8
-    assert doc["validation"]["ok"] is True
+    # chart then works on the symmetric part of g.  The first entry is 0 at
+    # the box centre; the second is not, so it reaches the loader's check.
+    for entry in ("5e-9*x1^2", "1e-10*(1 + x1^2)"):
+        metric = [row[:] for row in FLAT_METRIC]
+        metric[1][0] = entry
+        path = write_doc(tmp_path, metric=metric, complex_structure=STD_J)
+        rc = main(["report", "--file", path])
+        assert rc in (0, 1), entry
+        doc = json.loads(capsys.readouterr().out)
+        assert 0.0 < doc["validation"]["metric_symmetry"] <= 1e-8
+        assert doc["validation"]["ok"] is True
 
 
 def test_exit_three_on_domain_escape(tmp_path, capsys):
@@ -236,6 +242,34 @@ def test_exit_three_on_domain_escape(tmp_path, capsys):
     path = write_doc(tmp_path, metric=metric)
     assert main(["identities", "--file", path, *QUICK_ARGS]) == 3
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, center",
+    [
+        ("exp(1000*x1)", 1.0),  # math.exp overflows
+        ("1 + (log(1e-200*(2 + x1)))^2", 0.0),  # v**k of log's series underflows
+    ],
+)
+def test_float_range_escape_exits_three(tmp_path, capsys, entry, center):
+    metric = [row[:] for row in FLAT_METRIC]
+    metric[0][0] = entry
+    path = write_doc(
+        tmp_path, metric=metric,
+        sample_box={"center": [center] * 4, "half_width": [0.1] * 4},
+    )
+    assert main(["report", "--file", path, *QUICK_ARGS]) == 3
+    assert "float range" in capsys.readouterr().err
+
+
+def test_cpn_at_large_c_gives_a_report(tmp_path):
+    # cpn at c = 4e16 has g ~ 1e-16: absolute norm floors of 1e-8 rejected
+    # every random draw and FrameConstructionError escaped main
+    out = tmp_path / "report.json"
+    rc = main(["report", "--manifold", "cpn", "--n", "2", "--c", "4e16",
+               "--json", str(out)])
+    assert rc in (0, 1)
+    assert json.loads(out.read_text())["manifold"]["params"]["c"] == 4e16
 
 
 def test_domain_predicate_restores_exit_zero(tmp_path, capsys):
@@ -305,7 +339,8 @@ def test_run_config_requires_one_selector():
 
 def test_dumps_formats_floats_at_full_precision():
     assert dumps({"x": 0.1}) == '{\n  "x": 0.10000000000000001\n}'
-    assert dumps([float("nan"), float("inf")]) == "[\n  NaN,\n  Infinity\n]"
+    # strict JSON: non-finite numbers are written as null
+    assert dumps([float("nan"), float("-inf")]) == "[\n  null,\n  null\n]"
     assert dumps({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}'
     assert dumps({"n": 3, "t": True, "z": None}) == (
         '{\n  "n": 3,\n  "t": true,\n  "z": null\n}'

@@ -95,6 +95,25 @@ def test_domain_error_carries_source_offset():
         exprlang.evaluate_values(expr, [0.0])
 
 
+@pytest.mark.parametrize(
+    "source, evaluator",
+    [
+        ("1 + exp(1000*x1)", "jets"),
+        ("1 + exp(1000*x1)", "values"),
+        ("1 + log(1e-200*x1)", "jets"),  # only its derivatives leave the range
+        ("1 + (1e200*x1)^2", "values"),
+    ],
+)
+def test_float_range_errors_carry_source_offset(source, evaluator):
+    expr = exprlang.parse(source, 1)
+    with pytest.raises(EvaluationDomainError) as exc:
+        if evaluator == "jets":
+            exprlang.evaluate(expr, jets.seed([1.0], 2))
+        else:
+            exprlang.evaluate_values(expr, [1.0])
+    assert exc.value.offset is not None
+
+
 def test_evaluate_values_agrees_with_jet_evaluator(rng):
     for _ in range(40):
         dim = int(rng.integers(1, 4))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curvlab import geometry, planes
+from curvlab import geometry, jets, planes
 from curvlab.errors import DegenerateMetricError, SchemaError
 from curvlab.geometry import (
     ExprMatrixField,
@@ -269,3 +269,18 @@ def test_matrix_field_shape_check():
         ExprMatrixField([["1", "0"], ["0"]], 2)
     with pytest.raises(SchemaError):
         ExprMatrixField([["1"]], 2)
+
+
+@pytest.mark.parametrize("model", ["cp2", "kahler_bump", "s6"])
+def test_inverse_metric_jets_are_order_two(model, request, rng):
+    # Γ is the highest-order product g⁻¹ enters, so it is built at order 2
+    spec = request.getfixturevalue(model)
+    pg = PointGeometry(spec, sample_points(spec, 1, rng)[0])
+    d = spec.dim
+    ctx3, ctx2 = jets.get_context(d, 3), jets.get_context(d, 2)
+    assert pg.g_inv_jets.shape == (d, d, ctx2.ncoef)
+    G2 = jets.truncate_coeffs(pg.g_jets, ctx3, 2)
+    product = jets.jet_einsum("ab,bc->ac", G2, pg.g_inv_jets, ctx2)
+    identity = np.zeros_like(product)
+    identity[..., 0] = np.eye(d)
+    np.testing.assert_allclose(product, identity, rtol=0, atol=1e-13)

@@ -81,10 +81,33 @@ def test_half_integer_power_derivatives():
     assert f.derivative((2,)) == pytest.approx(1.5 * 0.5 * 2.0 ** (-0.5))
 
 
-def test_integer_power_matches_repeated_multiplication():
+def test_integer_power_matches_repeated_multiplication(monkeypatch):
     x1, x2 = jets.seed([0.3, 0.8], 2)
     f = x1 + 2 * x2
     np.testing.assert_allclose((f**3).coeffs, (f * f * f).coeffs, atol=1e-14)
+
+    # binary powering costs floor(log2 k) + popcount(k) - 1 products, plus
+    # the reciprocal's own for k < 0; dyadic coefficients keep every product
+    # exact, so the result must match repeated multiplication bit for bit
+    y1, y2 = jets.seed([0.5, 0.25], 2)
+    f = y1 + 2 * y2
+    calls = []
+    counted = jets.jet_mul
+    monkeypatch.setattr(jets, "jet_mul", lambda *a: calls.append(1) or counted(*a))
+    recip = jets.Jet(2, 2, jets.reciprocal_coeffs(f.coeffs, f._ctx))
+    recip_products = len(calls)
+    for k in (*range(9), -3):
+        calls.clear()
+        power = f**k
+        m = abs(k)
+        expected_products = m.bit_length() + bin(m).count("1") - 2 if m else 0
+        if k < 0:
+            expected_products += recip_products
+        assert len(calls) == expected_products, k
+        expected = jets.constant(1.0, 2, 2)
+        for _ in range(m):
+            expected = expected * (f if k >= 0 else recip)
+        assert np.array_equal(power.coeffs, expected.coeffs), k
 
 
 def test_directional_matches_gradient():
@@ -124,6 +147,17 @@ def test_order_and_domain_errors():
         1 / x
     with pytest.raises(EvaluationDomainError):
         x ** (-2)
+    # series coefficients that leave the float range
+    for func, value in [
+        (jets.exp, 1000.0),  # exp overflows
+        (jets.log, 1e-200),  # v**k underflows to 0
+        (jets.log, 1e200),  # v**k overflows
+        (lambda a: 1 / a, 1e-200),  # v**(q - k) overflows
+        (jets.sqrt, 1e-300),
+    ]:
+        (z,) = jets.seed([value], 3)
+        with pytest.raises(EvaluationDomainError, match="float range"):
+            func(z)
     (y,) = jets.seed([0.3], 0)
     with pytest.raises(DerivativeExhaustedError):
         y.gradient

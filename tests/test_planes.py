@@ -45,6 +45,26 @@ def test_gram_schmidt_rejects_dependent_vectors():
         gram_schmidt(vs, g)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_frame_floors_scale_with_the_metric(rng, scale):
+    # the degeneracy floors are relative to g: a homothety of a
+    # well-conditioned metric builds every frame, at the same frame
+    g = scale * random_spd(rng, 4)
+    J = np.array([[0.0, -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
+    g = 0.5 * (g + J.T @ g @ J)  # J-compatible
+    for frame in (
+        orthonormal_frame(g, np.random.default_rng(1)),
+        random_unit_vector(g, np.random.default_rng(1), 8),
+        adapted_frame(g, J, np.random.default_rng(1)).vectors,
+    ):
+        np.testing.assert_allclose(np.vecdot(frame @ g, frame), 1.0, atol=1e-12)
+    np.testing.assert_allclose(
+        orthonormal_frame(g, np.random.default_rng(1)) * np.sqrt(scale),
+        orthonormal_frame(g / scale, np.random.default_rng(1)),
+        rtol=1e-10,
+    )
+
+
 def test_orthonormal_frame_full_rank(rng):
     g = random_spd(rng, 6)
     frame = orthonormal_frame(g, rng)
