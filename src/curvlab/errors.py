@@ -22,22 +22,24 @@ class SchemaError(CurvlabError):
     """A manifold description file is malformed or misses required fields."""
 
 
-class ExprError(CurvlabError):
-    """Problem with an expression source string.
-
-    Carries ``offset``, the 0-based character position in the source the
-    problem was detected at (or ``None`` when no position applies).
-    """
+class _SourceLocatedError(CurvlabError):
+    """An error that may carry ``offset``, the 0-based character position
+    in an expression source it was detected at (``None`` when no position
+    applies); the message names the offset when there is one."""
 
     def __init__(self, message: str, offset: int | None = None):
         super().__init__(message)
         self.offset = offset
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         base = super().__str__()
         if self.offset is not None:
             return f"{base} (at offset {self.offset})"
         return base
+
+
+class ExprError(_SourceLocatedError):
+    """Problem with an expression source string."""
 
 
 class ExprSyntaxError(ExprError):
@@ -60,17 +62,14 @@ class DimensionError(CurvlabError):
 # numerical errors
 
 
-class EvaluationDomainError(CurvlabError):
+class EvaluationDomainError(_SourceLocatedError):
     """A function was evaluated outside its differentiability domain.
 
-    Raised for log/sqrt of non-positive values, division by zero, and
-    negative-power of zero.  ``offset`` is filled in when the error can be
-    tied back to a position in an expression source string.
+    Raised for log/sqrt of non-positive values, division by zero,
+    negative-power of zero, sin/cos of a non-finite value, and results
+    that leave the float range.  ``offset`` is filled in when the error
+    can be tied back to a position in an expression source string.
     """
-
-    def __init__(self, message: str, offset: int | None = None):
-        super().__init__(message)
-        self.offset = offset
 
 
 class DomainError(CurvlabError):

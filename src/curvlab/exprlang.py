@@ -321,8 +321,9 @@ def evaluate(expr: Expr, coords: Sequence[jets.Jet]) -> jets.Jet:
 def evaluate_values(expr: Expr, xs: Sequence[float]) -> float:
     """Plain float evaluation; an independent path from the jet walker.
 
-    A float operation that overflows or underflows into a division by zero
-    raises :class:`EvaluationDomainError` at the offending subexpression.
+    A float operation that overflows or underflows into a division by zero,
+    and sin/cos of an infinite value, raise :class:`EvaluationDomainError`
+    at the offending subexpression.
     """
 
     def walk(node: Expr) -> float:
@@ -331,6 +332,10 @@ def evaluate_values(expr: Expr, xs: Sequence[float]) -> float:
         except (OverflowError, ZeroDivisionError) as err:
             raise EvaluationDomainError(
                 f"float result out of range ({err})", offset=node.pos
+            ) from None
+        except ValueError as err:
+            raise EvaluationDomainError(
+                f"float operation outside its domain ({err})", offset=node.pos
             ) from None
 
     def step(node: Expr) -> float:

@@ -8,6 +8,14 @@ enough for every identity this package checks, with no finite
 differencing anywhere in the pipeline.  The inverse metric is built at
 order 2 only, since Γ = ½ g⁻¹ ∂g is the highest-order product it enters.
 
+Memory: a session keeps every sampled point until its report is written,
+so a :class:`PointGeometry` (and its ``hermitian`` data) keeps only the
+plain tensors the identity rows read, plus τ and τ* as order-1 scalar
+jets.  The jet arrays of g, g⁻¹, Γ, R, S, J and S* live only inside the
+constructor, each released once the next stage has it.  Their largest
+contractions, at d = 10, run in slices inside ``jets.jet_einsum`` (see
+``jets._EINSUM_CHUNK``), so no gathered temporary exceeds 512 KiB.
+
 Sign conventions (pinned by the unit-sphere test in the suite):
 
     R(X,Y)Z = ∇_X ∇_Y Z − ∇_Y ∇_X Z − ∇_[X,Y] Z
@@ -30,6 +38,7 @@ from . import exprlang, jets
 from .errors import (
     DegenerateMetricError,
     DomainError,
+    EvaluationDomainError,
     SchemaError,
 )
 
@@ -62,13 +71,24 @@ class ExprMatrixField:
         )
 
     def evaluate(self, point: Sequence[float], order: int) -> np.ndarray:
-        """Entry jets at ``point``; shape ``(dim, dim, ncoef(order))``."""
+        """Entry jets at ``point``; shape ``(dim, dim, ncoef(order))``.
+
+        Raises :class:`EvaluationDomainError`, naming the first entry, when
+        a jet coefficient overflowed to ±inf or NaN.
+        """
         coords = jets.seed(point, order)
         ctx = jets.get_context(self.dim, order)
         out = np.empty((self.dim, self.dim, ctx.ncoef))
         for i in range(self.dim):
             for j in range(self.dim):
                 out[i, j] = exprlang.evaluate(self.exprs[i][j], coords).coeffs
+        finite = np.isfinite(out).all(axis=-1)
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise EvaluationDomainError(
+                f"entry ({i + 1}, {j + 1}) = {self.sources[i][j]!r} is not finite "
+                f"at {np.asarray(point, dtype=float).tolist()}"
+            )
         return out
 
 
@@ -189,17 +209,43 @@ def sample_points(spec: ManifoldSpec, count: int, rng: np.random.Generator) -> n
 # per-point geometry
 
 
+def inverse_metric_jets(G: np.ndarray, ctx: jets.JetContext) -> np.ndarray:
+    """g⁻¹ as order-2 jets, the highest order anything reads, from the
+    metric jets ``G`` of order >= 2 in ``ctx``.
+
+    Newton iteration X <- X(2I - GX) doubles the correct order each step,
+    so two steps suffice from the exact value-level inverse.
+    """
+    d = G.shape[0]
+    ctx2 = jets.get_context(d, 2)
+    G2 = jets.truncate_coeffs(G, ctx, 2)
+    X = np.zeros_like(G2)
+    X[..., 0] = np.linalg.inv(G[..., 0])
+    twoI = np.zeros_like(G2)
+    twoI[..., 0] = 2.0 * np.eye(d)
+    for _ in range(2):
+        K = twoI - jets.jet_einsum("ab,bc->ac", G2, X, ctx2)
+        X = jets.jet_einsum("ab,bc->ac", X, K, ctx2)
+    return X
+
+
 class PointGeometry:
     """All curvature data of a manifold at one chart point.
 
-    Index conventions on the arrays (last axis = jet coefficients where
-    present, all earlier axes tensor slots):
+    Index conventions on the arrays (tensor slots only; the jet arrays the
+    pipeline builds them from live only while the constructor runs):
 
     ``gamma[k,i,j]``          Γᵏ_ij (symmetric in i,j)
     ``riemann[a,b,c,d]``      R(∂_a,∂_b,∂_c,∂_d), fully lowered
     ``ricci[a,b]``            S(∂_a,∂_b)
     ``nabla_riemann[m,a,b,c,d]``  (∇_m R)(∂_a,∂_b,∂_c,∂_d)
     ``nabla_ricci[m,a,b]``    (∇_m S)(∂_a,∂_b)
+
+    ``scalar_curvature_jet`` is the one jet kept, as an order-1 :class:`Jet`
+    whose gradient the identities read.  When the spec has an
+    almost-complex structure, ``hermitian`` holds its
+    :class:`~curvlab.hermitian.HermitianData` (else None); it is built here,
+    while the order-1 jets of R are still at hand.
     """
 
     def __init__(self, spec: ManifoldSpec, point: Sequence[float]):
@@ -220,7 +266,6 @@ class PointGeometry:
             )
         if sym_res > 0.0:
             G = 0.5 * (G + G.transpose(1, 0, 2))
-        self.g_jets = G
         self.g = G[..., 0].copy()
         try:
             np.linalg.cholesky(self.g)
@@ -229,19 +274,7 @@ class PointGeometry:
                 f"metric of {spec.name!r} is not positive definite at {self.point!r}"
             ) from None
 
-        # inverse metric as order-2 jets, the highest order anything reads:
-        # Newton iteration X <- X(2I - GX) doubles the correct order each
-        # step, so two steps suffice from the exact value-level inverse.
-        G2 = jets.truncate_coeffs(G, ctx3, 2)
-        X = np.zeros_like(G2)
-        X[..., 0] = np.linalg.inv(self.g)
-        twoI = np.zeros_like(G2)
-        twoI[..., 0] = 2.0 * np.eye(d)
-        for _ in range(2):
-            K = twoI - jets.jet_einsum("ab,bc->ac", G2, X, ctx2)
-            X = jets.jet_einsum("ab,bc->ac", X, K, ctx2)
-        del G2, K
-        self.g_inv_jets = X
+        X = inverse_metric_jets(G, ctx3)
         self.g_inv = X[..., 0].copy()
 
         # Christoffel symbols Γᵏ_ij = ½ gᵏˡ (∂_i g_jl + ∂_j g_il − ∂_l g_ij)
@@ -256,29 +289,39 @@ class PointGeometry:
         del lower
 
         # curvature: R(∂_a,∂_b)∂_c = (∂_a Γᵉ_bc − ∂_b Γᵉ_ac + Γᵉ_af Γᶠ_bc − Γᵉ_bf Γᶠ_ac) ∂_e
+        gamma1 = jets.truncate_coeffs(gamma_jets, ctx2, 1)
+        Q = jets.jet_einsum("eaf,fbc->abce", gamma1, gamma1, ctx1)
+        del gamma1
         dGamma = np.stack(
             [jets.partial_coeffs(gamma_jets, m, ctx2) for m in range(d)]
         )
-        gamma1 = jets.truncate_coeffs(gamma_jets, ctx2, 1)
+        del gamma_jets
         P = dGamma.transpose(0, 2, 3, 1, 4)  # [a,b,c,e] = ∂_a Γᵉ_bc
-        Q = jets.jet_einsum("eaf,fbc->abce", gamma1, gamma1, ctx1)
         upper = P - P.transpose(1, 0, 2, 3, 4) + Q - Q.transpose(1, 0, 2, 3, 4)
-        del gamma_jets, dGamma, P, Q
+        del dGamma, P, Q
         g1 = jets.truncate_coeffs(G, ctx3, 1)
-        self.riemann_jets = jets.jet_einsum("abce,ed->abcd", upper, g1, ctx1)
-        self.riemann = self.riemann_jets[..., 0].copy()
+        del G
+        riemann_jets = jets.jet_einsum("abce,ed->abcd", upper, g1, ctx1)
+        self.riemann = riemann_jets[..., 0].copy()
         del upper
 
         ginv1 = jets.truncate_coeffs(X, ctx2, 1)
-        self.ricci_jets = jets.jet_einsum("apqb,pq->ab", self.riemann_jets, ginv1, ctx1)
-        self.ricci = self.ricci_jets[..., 0].copy()
-        tau_coeffs = jets.jet_einsum("ab,ab->", self.ricci_jets, ginv1, ctx1)
+        ricci_jets = jets.jet_einsum("apqb,pq->ab", riemann_jets, ginv1, ctx1)
+        self.ricci = ricci_jets[..., 0].copy()
+        tau_coeffs = jets.jet_einsum("ab,ab->", ricci_jets, ginv1, ctx1)
         self.scalar_curvature_jet = jets.Jet(d, 1, tau_coeffs)
         self.scalar_curvature = self.scalar_curvature_jet.value
 
+        self.hermitian = None
+        if spec.complex_structure is not None:
+            from .hermitian import HermitianData  # hermitian imports this module
+
+            self.hermitian = HermitianData(self, riemann_jets, ginv1)
+
         # covariant derivatives (plain values): ∂ − Γ corrections
         grad = ctx1.grad_pos
-        dR = np.moveaxis(self.riemann_jets[..., grad], -1, 0)
+        dR = np.moveaxis(riemann_jets[..., grad], -1, 0)
+        del riemann_jets
         R0, S0, gam = self.riemann, self.ricci, self.gamma
         self.nabla_riemann = (
             dR
@@ -287,7 +330,8 @@ class PointGeometry:
             - np.einsum("pmc,abpe->mabce", gam, R0)
             - np.einsum("pme,abcp->mabce", gam, R0)
         )
-        dS = np.moveaxis(self.ricci_jets[..., grad], -1, 0)
+        del dR
+        dS = np.moveaxis(ricci_jets[..., grad], -1, 0)
         self.nabla_ricci = (
             dS
             - np.einsum("pma,pb->mab", gam, S0)

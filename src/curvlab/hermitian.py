@@ -47,24 +47,24 @@ def worst_residual(residuals) -> float:
 
 
 class HermitianData:
-    """J-dependent tensors at one point, on top of a :class:`PointGeometry`.
+    """J-dependent tensors at one point, built by :class:`PointGeometry`
+    while the order-1 jets of R and g⁻¹ are still at hand.
 
     Arrays follow the conventions of :class:`PointGeometry`; ``J[i, j]``
-    holds Jⁱ_j, ``nabla_J[m, k, j]`` holds (∇_m J)ᵏ_j.
+    holds Jⁱ_j, ``nabla_J[m, k, j]`` holds (∇_m J)ᵏ_j.  ``g`` and
+    ``riemann`` are the point's own arrays, shared rather than copied.
+    ``star_scalar_jet`` is the only jet kept.
     """
 
-    def __init__(self, pg: PointGeometry):
+    def __init__(self, pg: PointGeometry, riemann_jets: np.ndarray, ginv1: np.ndarray):
         spec = pg.spec
-        if spec.complex_structure is None:
-            raise MissingComplexStructureError(
-                f"manifold {spec.name!r} carries no almost-complex structure"
-            )
-        self.pg = pg
         d = spec.dim
         ctx1 = jets.get_context(d, 1)
+        self.g = pg.g
+        self.riemann = pg.riemann
 
-        self.J_jets = spec.complex_structure.evaluate(pg.point, 1)
-        self.J = self.J_jets[..., 0].copy()
+        J_jets = spec.complex_structure.evaluate(pg.point, 1)
+        self.J = J_jets[..., 0].copy()
         self.J_low = pg.g @ self.J
 
         # measured structural residuals (callers decide what is acceptable)
@@ -77,7 +77,7 @@ class HermitianData:
         )
 
         # (∇_m J)ᵏ_j = ∂_m Jᵏ_j + Γᵏ_mp Jᵖ_j − Γᵖ_mj Jᵏ_p
-        dJ = np.moveaxis(self.J_jets[..., ctx1.grad_pos], -1, 0)
+        dJ = np.moveaxis(J_jets[..., ctx1.grad_pos], -1, 0)
         gam = pg.gamma
         self.nabla_J = (
             dJ
@@ -86,21 +86,20 @@ class HermitianData:
         )
 
         # star-Ricci: S*(x,y) = trace of v -> R(x, v, Jv, Jy), computed
-        # frame-free as S*_ab = R_apqs g^pr Jq_r Js_b, kept as order-1 jets
-        # so its covariant derivative and x(τ*) are available.
-        ginv1 = jets.truncate_coeffs(pg.g_inv_jets, jets.get_context(d, 2), 1)
-        t = jets.jet_einsum("apqs,pr->arqs", pg.riemann_jets, ginv1, ctx1)
-        t = jets.jet_einsum("arqs,qr->as", t, self.J_jets, ctx1)
-        self.ricci_star_jets = jets.jet_einsum("as,sb->ab", t, self.J_jets, ctx1)
-        self.ricci_star = self.ricci_star_jets[..., 0].copy()
-        star_coeffs = jets.jet_einsum("ab,ab->", self.ricci_star_jets, ginv1, ctx1)
+        # frame-free as S*_ab = R_apqs g^pr Jq_r Js_b, as order-1 jets so
+        # that its covariant derivative and x(τ*) are available.
+        t = jets.jet_einsum("apqs,pr->arqs", riemann_jets, ginv1, ctx1)
+        t = jets.jet_einsum("arqs,qr->as", t, J_jets, ctx1)
+        ricci_star_jets = jets.jet_einsum("as,sb->ab", t, J_jets, ctx1)
+        self.ricci_star = ricci_star_jets[..., 0].copy()
+        star_coeffs = jets.jet_einsum("ab,ab->", ricci_star_jets, ginv1, ctx1)
         self.star_scalar_jet = jets.Jet(d, 1, star_coeffs)
         self.star_scalar = self.star_scalar_jet.value
         self.ricci_star_symmetry_residual = float(
             np.abs(self.ricci_star - self.ricci_star.T).max()
         )
 
-        dSs = np.moveaxis(self.ricci_star_jets[..., ctx1.grad_pos], -1, 0)
+        dSs = np.moveaxis(ricci_star_jets[..., ctx1.grad_pos], -1, 0)
         Ss = self.ricci_star
         self.nabla_ricci_star = (
             dSs
@@ -126,7 +125,12 @@ class HermitianData:
 
 
 def hermitian_data(spec: ManifoldSpec, point) -> HermitianData:
-    return HermitianData(PointGeometry(spec, point))
+    """The :class:`HermitianData` of ``spec`` at ``point``."""
+    if spec.complex_structure is None:
+        raise MissingComplexStructureError(
+            f"manifold {spec.name!r} carries no almost-complex structure"
+        )
+    return PointGeometry(spec, point).hermitian
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +182,7 @@ def ricci_curvature_form(g: np.ndarray, J: np.ndarray, S: np.ndarray, x, y, z, u
 def three_term_sides(data: HermitianData, args: np.ndarray):
     """Both sides of R(x,y,z,u) = R(x,y,Jz,Ju) + R(x,Jy,z,Ju) + R(Jx,y,z,Ju)
     for each ``(x, y, z, u)`` in a ``(count, 4, d)`` argument array."""
-    R, vectors = data.pg.riemann, args.transpose(1, 0, 2)
+    R, vectors = data.riemann, args.transpose(1, 0, 2)
     x, y, z, u = vectors
     jx, jy, jz, ju = vectors @ data.J.T
     rhs = contract(R, x, y, jz, ju) + contract(R, x, jy, z, ju) + contract(R, jx, y, z, ju)
@@ -187,7 +191,7 @@ def three_term_sides(data: HermitianData, args: np.ndarray):
 
 def j_invariance_sides(data: HermitianData, args: np.ndarray):
     """Both sides of R(x,y,z,u) = R(Jx,Jy,Jz,Ju), as :func:`three_term_sides`."""
-    R, vectors = data.pg.riemann, args.transpose(1, 0, 2)
+    R, vectors = data.riemann, args.transpose(1, 0, 2)
     return contract(R, *vectors), contract(R, *vectors @ data.J.T)
 
 
@@ -245,7 +249,7 @@ def classify_point(
     tol: float,
 ) -> ClassificationReport:
     """Max class residuals over ``samples`` draws of four random unit vectors."""
-    g, J = data.pg.g, data.J
+    g, J = data.g, data.J
     args = planes.random_unit_vector(g, rng, 4 * samples).reshape(samples, 4, -1)
     x, y = args[:, 0], args[:, 1]
     nabla_x_y = data.nabla_J_apply(x, y)

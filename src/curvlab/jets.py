@@ -44,6 +44,11 @@ from .errors import (
 
 MAX_ORDER = 3
 
+# a jet_einsum whose gathered operands or coefficient products would hold
+# more than this many entries (512 KiB) is contracted in slices along one
+# output axis: at d = 10 the Γ, R, S and S* contractions are, at d <= 6 none
+_EINSUM_CHUNK = 1 << 16
+
 
 def multi_indices(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
     """All multi-indices with ``|alpha| <= order``, by (degree, lex)."""
@@ -178,6 +183,11 @@ def jet_mul(a: np.ndarray, b: np.ndarray, ctx: JetContext) -> np.ndarray:
     return np.add.reduceat(p, ctx.pair_starts, axis=-1)
 
 
+def _window(labels: str, letter: str, rows: slice) -> tuple:
+    """Index selecting ``rows`` along the axis labelled ``letter``."""
+    return (slice(None),) * labels.index(letter) + (rows,)
+
+
 def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, ctx: JetContext) -> np.ndarray:
     """einsum over tensor axes with jet multiplication as scalar product.
 
@@ -185,15 +195,35 @@ def jet_einsum(subscripts: str, a: np.ndarray, b: np.ndarray, ctx: JetContext) -
     ``"kl,lij->kij"``; the trailing coefficient axis is handled internally
     (contracted tensor indices are summed while coefficient vectors are
     convolved).  Both operands must share ``ctx``.
+
+    Each operand is gathered over every coefficient pair first.  When that,
+    or the product before the convolution sums, would exceed
+    ``_EINSUM_CHUNK`` entries, the contraction runs in slices along the
+    first output axis of the larger operand.  That axis is free, so every
+    output element is the same sum over the same terms in the same order.
     """
     ins, out = subscripts.split("->")
     s1, s2 = ins.split(",")
-    p = np.einsum(
-        f"{s1}Z,{s2}Z->{out}Z",
-        a[..., ctx.pair_left],
-        b[..., ctx.pair_right],
-    )
-    return np.add.reduceat(p, ctx.pair_starts, axis=-1)
+    spec = f"{s1}Z,{s2}Z->{out}Z"
+    left, right = ctx.pair_left, ctx.pair_right
+    dims = dict(zip(s1 + s2, a.shape[:-1] + b.shape[:-1]))
+    out_shape = tuple(dims[c] for c in out) + (ctx.ncoef,)
+    entries = max(a.size, b.size, math.prod(out_shape)) // ctx.ncoef * left.size
+    if entries <= _EINSUM_CHUNK or not out:
+        p = np.einsum(spec, a[..., left], b[..., right])
+        return np.add.reduceat(p, ctx.pair_starts, axis=-1)
+
+    big = s1 if a.size >= b.size else s2
+    letter = next((c for c in out if c in big), out[0])
+    step = max(1, dims[letter] * _EINSUM_CHUNK // entries)
+    result = np.empty(out_shape)
+    for lo in range(0, dims[letter], step):
+        rows = slice(lo, lo + step)
+        pa = (a[_window(s1, letter, rows)] if letter in s1 else a)[..., left]
+        pb = (b[_window(s2, letter, rows)] if letter in s2 else b)[..., right]
+        p = np.einsum(spec, pa, pb)
+        result[_window(out, letter, rows)] = np.add.reduceat(p, ctx.pair_starts, axis=-1)
+    return result
 
 
 def partial_coeffs(a: np.ndarray, i: int, ctx: JetContext) -> np.ndarray:
@@ -250,12 +280,19 @@ def _series_log(v: float, order: int) -> list[float]:
     return out
 
 
+def _require_finite(name: str, v: float) -> None:
+    if not math.isfinite(v):
+        raise EvaluationDomainError(f"{name} of non-finite value {v!r}")
+
+
 def _series_sin(v: float, order: int) -> list[float]:
+    _require_finite("sin", v)
     cyc = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
     return [cyc[k % 4] / math.factorial(k) for k in range(order + 1)]
 
 
 def _series_cos(v: float, order: int) -> list[float]:
+    _require_finite("cos", v)
     cyc = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
     return [cyc[k % 4] / math.factorial(k) for k in range(order + 1)]
 

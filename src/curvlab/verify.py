@@ -172,11 +172,14 @@ class SchurStatistics:
 @dataclass
 class PointData:
     pg: PointGeometry
-    hd: HermitianData | None
     frame: AdaptedFrame | None  # J-adapted when J present, else orthonormal rows
     frame_rows: np.ndarray
     nu_est: NuEstimate | None
     nu_jet: Jet | None  # formula route, needs J and n >= 2
+
+    @property
+    def hd(self) -> HermitianData | None:
+        return self.pg.hermitian
 
     @property
     def lemma_value(self) -> float:
@@ -197,12 +200,11 @@ _PURPOSE_TAG = 10  # + tag index
 
 def _point_data(spec: ManifoldSpec, point: np.ndarray, idx: int, config: CheckConfig) -> PointData:
     pg = PointGeometry(spec, point)
-    hd: HermitianData | None = None
+    hd = pg.hermitian
     frame = None
     nu_est = None
     nu_jet = None
-    if spec.complex_structure is not None:
-        hd = HermitianData(pg)
+    if hd is not None:
         structural = worst_residual([
             hd.j_squared_residual,
             hd.compatibility_residual,
@@ -223,7 +225,7 @@ def _point_data(spec: ManifoldSpec, point: np.ndarray, idx: int, config: CheckCo
         frame_rows = frame.vectors
     else:
         frame_rows = planes.orthonormal_frame(pg.g, _rng(config.seed, _PURPOSE_FRAME, idx))
-    return PointData(pg, hd, frame, frame_rows, nu_est, nu_jet)
+    return PointData(pg, frame, frame_rows, nu_est, nu_jet)
 
 
 # ---------------------------------------------------------------------------

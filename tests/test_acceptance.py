@@ -17,7 +17,6 @@ from conftest import ACCEPTANCE_LINES
 from curvlab import exprlang, jets
 from curvlab.cli import main
 from curvlab.geometry import PointGeometry, sample_points
-from curvlab.hermitian import HermitianData
 from curvlab.modelspaces import BUILTIN_MODELS, build_builtin
 from curvlab.planes import nu_from_formula, sample_planes, sectional_curvature
 from curvlab.verify import CheckConfig, Session, check_identity, schur_check
@@ -69,7 +68,7 @@ def test_criterion_2_cp2_curvatures():
         pts = sample_points(spec, 8, rng)
         for p in pts:
             pg = PointGeometry(spec, p)
-            hd = HermitianData(pg)
+            hd = pg.hermitian
             for plane in sample_planes(pg.g, hd.J, "holomorphic", 32, rng):
                 k = sectional_curvature(pg.riemann, pg.g, plane)
                 assert k == pytest.approx(4.0, abs=1e-6)

@@ -262,6 +262,33 @@ def test_float_range_escape_exits_three(tmp_path, capsys, entry, center):
     assert "float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        # the product overflows silently; sin of inf raised ValueError out of main
+        ("2 + sin(1e200*x1*1e200)", "sin of non-finite value inf (at offset 4)"),
+        # inf metric jets: loaded and reported "positive_definite": true
+        ("1 + (1e200*x1)^2", "entry (1, 1) = '1 + (1e200*x1)^2' is not finite"),
+        ("1 + (1e150*x4)^3", "entry (1, 1) = '1 + (1e150*x4)^3' is not finite"),
+        # NaN at the centre: exit 2, "smallest eigenvalue -0.000e+00"
+        ("1 + (1e200*x1)^2 - (1e200*x1)^2", "entry (1, 1) = "),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow notices
+def test_non_finite_input_exits_three(tmp_path, capsys, entry, message):
+    metric = [row[:] for row in FLAT_METRIC]
+    metric[0][0] = entry
+    path = write_doc(
+        tmp_path, metric=metric,
+        sample_box={"center": [1.0] * 4, "half_width": [0.1] * 4},
+    )
+    assert main(["report", "--file", path, *QUICK_ARGS]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("curvlab: error: ")
+    assert message in captured.err
+
+
 def test_cpn_at_large_c_gives_a_report(tmp_path):
     # cpn at c = 4e16 has g ~ 1e-16: absolute norm floors of 1e-8 rejected
     # every random draw and FrameConstructionError escaped main

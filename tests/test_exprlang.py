@@ -114,6 +114,20 @@ def test_float_range_errors_carry_source_offset(source, evaluator):
     assert exc.value.offset is not None
 
 
+@pytest.mark.parametrize("func", ["sin", "cos"])
+@pytest.mark.parametrize("evaluator", ["jets", "values"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the jet product overflows first
+def test_trigonometry_of_infinity_is_a_domain_error(func, evaluator):
+    expr = exprlang.parse(f"2 + {func}(1e200*x1*1e200)", 1)
+    with pytest.raises(EvaluationDomainError) as exc:
+        if evaluator == "jets":
+            exprlang.evaluate(expr, jets.seed([1.0], 2))
+        else:
+            exprlang.evaluate_values(expr, [1.0])
+    assert exc.value.offset == 4
+    assert str(exc.value).endswith("(at offset 4)")
+
+
 def test_evaluate_values_agrees_with_jet_evaluator(rng):
     for _ in range(40):
         dim = int(rng.integers(1, 4))

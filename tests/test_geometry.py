@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from curvlab import geometry, jets, planes
-from curvlab.errors import DegenerateMetricError, SchemaError
+from curvlab.errors import DegenerateMetricError, EvaluationDomainError, SchemaError
 from curvlab.geometry import (
     ExprMatrixField,
     ManifoldSpec,
@@ -198,11 +198,12 @@ def test_metric_compatibility(generic_pg):
     pg = generic_pg
     from curvlab import jets as jetmod
 
-    ctx = jetmod.get_context(4, 3)
+    ctx = jetmod.get_context(4, 1)
+    G = pg.spec.metric.evaluate(pg.point, 1)
     gam = pg.gamma
     nabla_g = np.empty((4, 4, 4))
     for m in range(4):
-        dG_m = pg.g_jets[:, :, ctx.grad_pos[m]]  # d_m g_ab
+        dG_m = G[:, :, ctx.grad_pos[m]]  # d_m g_ab
         for a in range(4):
             for b in range(4):
                 nabla_g[m, a, b] = (
@@ -271,16 +272,28 @@ def test_matrix_field_shape_check():
         ExprMatrixField([["1"]], 2)
 
 
+def test_matrix_field_rejects_non_finite_jets():
+    # exp(700) is finite, but its second Taylor coefficient 700²/2·e⁷⁰⁰ is not
+    field = ExprMatrixField([["1", "0"], ["0", "exp(700*x1)"]], 2)
+    assert np.isfinite(field.evaluate([1.0, 0.0], 1)).all()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluationDomainError) as exc:
+        field.evaluate([1.0, 0.0], 3)
+    assert "entry (2, 2) = 'exp(700*x1)' is not finite at [1.0, 0.0]" in str(exc.value)
+
+
 @pytest.mark.parametrize("model", ["cp2", "kahler_bump", "s6"])
 def test_inverse_metric_jets_are_order_two(model, request, rng):
     # Γ is the highest-order product g⁻¹ enters, so it is built at order 2
     spec = request.getfixturevalue(model)
-    pg = PointGeometry(spec, sample_points(spec, 1, rng)[0])
+    point = sample_points(spec, 1, rng)[0]
     d = spec.dim
     ctx3, ctx2 = jets.get_context(d, 3), jets.get_context(d, 2)
-    assert pg.g_inv_jets.shape == (d, d, ctx2.ncoef)
-    G2 = jets.truncate_coeffs(pg.g_jets, ctx3, 2)
-    product = jets.jet_einsum("ab,bc->ac", G2, pg.g_inv_jets, ctx2)
+    G = spec.metric.evaluate(point, 3)
+    X = geometry.inverse_metric_jets(G, ctx3)
+    assert X.shape == (d, d, ctx2.ncoef)
+    np.testing.assert_array_equal(PointGeometry(spec, point).g_inv, X[..., 0])
+    G2 = jets.truncate_coeffs(G, ctx3, 2)
+    product = jets.jet_einsum("ab,bc->ac", G2, X, ctx2)
     identity = np.zeros_like(product)
     identity[..., 0] = np.eye(d)
     np.testing.assert_allclose(product, identity, rtol=0, atol=1e-13)

@@ -8,7 +8,6 @@ from curvlab.errors import MissingComplexStructureError
 from curvlab.geometry import PointGeometry, sample_points
 from curvlab.hermitian import (
     CLASS_NAMES,
-    HermitianData,
     classify,
     hermitian_data,
     kaehler_curvature_form,
@@ -107,7 +106,7 @@ def cp2_data():
 
     spec = make_cpn(2, 4.0)
     pg = PointGeometry(spec, [0.23, -0.11, 0.31, 0.08])
-    return pg, HermitianData(pg)
+    return pg, pg.hermitian
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +115,7 @@ def s6_data():
 
     spec = make_s6()
     pg = PointGeometry(spec, [0.21, 0.14, -0.33, 0.12, 0.4, -0.18])
-    return pg, HermitianData(pg)
+    return pg, pg.hermitian
 
 
 def test_ricci_star_matches_frame_sum(cp2_data, s6_data, rng):

@@ -4,7 +4,7 @@ import pytest
 from curvlab import jets, planes
 from curvlab.errors import SchemaError
 from curvlab.geometry import PointGeometry, sample_points
-from curvlab.hermitian import HermitianData, classify
+from curvlab.hermitian import classify
 from curvlab.modelspaces import (
     BUILTIN_MODELS,
     build_builtin,
@@ -79,8 +79,8 @@ def test_s6_charts_agree_on_scalars():
     pg_n = PointGeometry(north, u)
     pg_s = PointGeometry(south, v)
     assert pg_n.scalar_curvature == pytest.approx(pg_s.scalar_curvature, rel=1e-11)
-    hd_n = HermitianData(pg_n)
-    hd_s = HermitianData(pg_s)
+    hd_n = pg_n.hermitian
+    hd_s = pg_s.hermitian
     assert hd_n.star_scalar == pytest.approx(hd_s.star_scalar, rel=1e-10)
 
 
@@ -88,7 +88,7 @@ def test_s6_constants(rng, s6):
     pts = sample_points(s6, 3, rng)
     for pt in pts:
         pg = PointGeometry(s6, pt)
-        hd = HermitianData(pg)
+        hd = pg.hermitian
         assert pg.scalar_curvature == pytest.approx(30.0, abs=1e-9)
         assert hd.star_scalar == pytest.approx(6.0, abs=1e-9)
         assert hd.j_squared_residual < 1e-12
@@ -122,7 +122,7 @@ def test_cp2_constants(rng, cp2):
     pts = sample_points(cp2, 3, rng)
     for pt in pts:
         pg = PointGeometry(cp2, pt)
-        hd = HermitianData(pg)
+        hd = pg.hermitian
         assert pg.scalar_curvature == pytest.approx(24.0, abs=1e-9)
         assert hd.star_scalar == pytest.approx(24.0, abs=1e-9)
         # holomorphic sectional curvature c, antiholomorphic c/4
@@ -137,7 +137,7 @@ def test_cp2_constants(rng, cp2):
 def test_cpn_scaling_with_c(rng):
     spec = make_cpn(2, c=2.5)
     pg = PointGeometry(spec, [0.1, 0.3, -0.2, 0.2])
-    hd = HermitianData(pg)
+    hd = pg.hermitian
     for pl in planes.sample_planes(pg.g, hd.J, "holomorphic", 4, rng):
         assert planes.sectional_curvature(pg.riemann, pg.g, pl) == pytest.approx(
             2.5, abs=1e-9
@@ -150,7 +150,7 @@ def test_cd2_constants(rng, cd2):
     pts = sample_points(cd2, 3, rng)
     for pt in pts:
         pg = PointGeometry(cd2, pt)
-        hd = HermitianData(pg)
+        hd = pg.hermitian
         assert pg.scalar_curvature == pytest.approx(-24.0, abs=1e-9)
         assert hd.star_scalar == pytest.approx(-24.0, abs=1e-9)
         est = planes.estimate_nu(pg.riemann, pg.g, hd.J, 12, rng)
@@ -172,7 +172,7 @@ def test_flat_classifies_kaehler(flat2):
 def test_kahler_bump_is_kahler_but_not_einstein(kahler_bump, rng):
     pt = sample_points(kahler_bump, 1, rng)[0]
     pg = PointGeometry(kahler_bump, pt)
-    hd = HermitianData(pg)
+    hd = pg.hermitian
     assert np.abs(hd.nabla_J).max() < 1e-9
     # Ricci is not proportional to the metric: deviation after removing
     # the trace part is visible

@@ -3,7 +3,6 @@ import pytest
 
 from curvlab.errors import DimensionError, FrameConstructionError
 from curvlab.geometry import PointGeometry
-from curvlab.hermitian import HermitianData
 from curvlab.jets import seed as jet_seed
 from curvlab.modelspaces import make_cpn, make_flat, make_s6
 from curvlab.planes import (
@@ -27,7 +26,7 @@ def random_spd(rng, d):
 def cp2_point():
     spec = make_cpn(2, 4.0)
     pg = PointGeometry(spec, [0.17, -0.23, 0.05, 0.31])
-    return pg, HermitianData(pg)
+    return pg, pg.hermitian
 
 
 def test_gram_schmidt_produces_orthonormal_set(rng):
@@ -93,7 +92,7 @@ def test_adapted_frame_structure(cp2_point, rng):
 def test_adapted_frame_on_s6(rng):
     spec = make_s6()
     pg = PointGeometry(spec, [0.3, -0.1, 0.2, 0.1, -0.2, 0.4])
-    hd = HermitianData(pg)
+    hd = pg.hermitian
     frame = adapted_frame(pg.g, hd.J, rng)
     assert frame.gram_residual(pg.g) < 1e-9
     assert frame.closure_residual(hd.J) < 1e-9
@@ -172,6 +171,6 @@ def test_antiholomorphic_needs_four_dimensions(rng):
     # antiholomorphic pair cannot be assembled
     spec = make_flat(1)
     pg = PointGeometry(spec, [0.1, 0.2])
-    hd = HermitianData(pg)
+    hd = pg.hermitian
     with pytest.raises(DimensionError):
         sample_planes(pg.g, hd.J, "antiholomorphic", 1, rng)
